@@ -181,9 +181,7 @@ int main() {
               std::to_string(speedupAt64) + "x)");
 
     const std::string path = exp::writeBenchJson("BENCH_netlist_compile.json", doc);
-    if (!path.empty()) {
-        std::printf("# wrote %s (%zu points)\n", path.c_str(),
-                    doc["points"].size());
-    }
+    if (path.empty()) return 1;
+    std::printf("# wrote %s (%zu points)\n", path.c_str(), doc["points"].size());
     return g_allOk ? 0 : 1;
 }

@@ -317,9 +317,8 @@ int main(int argc, char** argv) {
     doc["gatedVsUngatedIdle"] = std::move(gatedRatioIdle);
     doc["gatingTimingNeutral"] = gatingTimingNeutral;
     const std::string path = exp::writeBenchJson("BENCH_table2.json", doc);
-    if (!path.empty()) {
-        std::printf("# wrote %s (%zu points, jobs=%u, sweep %.1fs)\n", path.c_str(),
-                    doc["points"].size(), jobs, sweepWall);
-    }
+    if (path.empty()) return 2;
+    std::printf("# wrote %s (%zu points, jobs=%u, sweep %.1fs)\n", path.c_str(),
+                doc["points"].size(), jobs, sweepWall);
     return failures == 0 ? 0 : 2;
 }

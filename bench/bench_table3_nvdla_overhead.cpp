@@ -250,9 +250,8 @@ int main() {
     doc["gatedVsUngated"] = std::move(gatedRatio);
     doc["gatingTimingNeutral"] = timingNeutral;
     const std::string path = exp::writeBenchJson("BENCH_table3.json", doc);
-    if (!path.empty()) {
-        std::printf("# wrote %s (%zu points, sweep %.1fs)\n", path.c_str(),
-                    doc["points"].size(), sweepWall);
-    }
+    if (path.empty()) return 2;
+    std::printf("# wrote %s (%zu points, sweep %.1fs)\n", path.c_str(),
+                doc["points"].size(), sweepWall);
     return failures == 0 ? 0 : 2;
 }

@@ -281,8 +281,9 @@ inline int printAndCheckDse(const DseResults& results, const std::string& figure
 
 /// Serialize a DSE sweep to BENCH_<figure>.json: one entry per sweep point
 /// (tech "ideal" included) with runtime ticks, wall seconds, normalized
-/// perf, and checksum status, plus host/config metadata.
-inline void writeDseBenchJson(const DseResults& results, const std::string& benchName,
+/// perf, and checksum status, plus host/config metadata. Returns false when
+/// the file could not be written.
+inline bool writeDseBenchJson(const DseResults& results, const std::string& benchName,
                               const std::string& filename,
                               const std::string& workloadName) {
     exp::Json doc = exp::benchDocument(benchName, results.jobs);
@@ -364,10 +365,10 @@ inline void writeDseBenchJson(const DseResults& results, const std::string& benc
     }
 
     const std::string path = exp::writeBenchJson(filename, doc);
-    if (!path.empty()) {
-        std::printf("# wrote %s (%zu points, jobs=%u, sweep %.1fs)\n", path.c_str(),
-                    doc["points"].size(), results.jobs, results.sweepWallSeconds);
-    }
+    if (path.empty()) return false;
+    std::printf("# wrote %s (%zu points, jobs=%u, sweep %.1fs)\n", path.c_str(),
+                doc["points"].size(), results.jobs, results.sweepWallSeconds);
+    return true;
 }
 
 /// Accelerator counts: {1,2,4} like the paper; trimmed in quick CI runs.

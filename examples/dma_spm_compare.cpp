@@ -57,7 +57,8 @@ int main() {
     addPoint("direct", direct);
     addPoint("dmaSpm", staged);
     const std::string path = exp::writeBenchJson("BENCH_dma_spm.json", doc);
-    if (!path.empty()) std::printf("# wrote %s\n", path.c_str());
+    if (path.empty()) return 1;
+    std::printf("# wrote %s\n", path.c_str());
 
     const bool ok = direct.completed && direct.checksumsOk && staged.completed &&
                     staged.checksumsOk && staged.runtimeTicks < direct.runtimeTicks;

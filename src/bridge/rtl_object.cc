@@ -28,10 +28,8 @@ RtlObject::RtlObject(Simulation& sim, std::string objName, const RtlObjectParams
       statGatedTicks_(stats_.scalar("gatedTicks",
                                     "RTL cycles skipped while quiescence-gated")),
       statIrqEdges_(stats_.scalar("irqEdges", "interrupt line level changes")),
-      statOutstanding_(stats_.distribution("outstanding",
-                                           "outstanding memory requests per tick")),
-      statOutstandingHist_(stats_.histogram(
-          "outstandingHist", "outstanding memory requests histogram (quantiles)")),
+      statOutstanding_(stats_.histogram("outstanding",
+                                        "outstanding memory requests per tick")),
       statDevQueueHist_(stats_.histogram(
           "devQueueHist", "device-queue depth histogram (quantiles)")) {
     // Busy fraction of elapsed RTL cycles: ticks actually delivered over
@@ -236,8 +234,7 @@ void RtlObject::tick() {
 
     model_->tick(in, out);
     ++statTicks_;
-    statOutstanding_.sample(static_cast<double>(outstanding_));
-    statOutstandingHist_.sampleInt(outstanding_);
+    statOutstanding_.sampleInt(outstanding_);
     statDevQueueHist_.sampleInt(devQueue_.size());
 
     // Device handshake resolution. Accepting a beat frees queue space, so

@@ -87,6 +87,9 @@ public:
     bool modelDone() const { return done_; }
     bool irqLevel() const { return irqLevel_; }
     unsigned outstandingRequests() const { return outstanding_; }
+    /// Outstanding memory requests sampled each delivered tick (the
+    /// `outstanding` stat).
+    const stats::Histogram& outstandingStat() const { return statOutstanding_; }
 
     /// True while the tick event is descheduled on a quiescence hint.
     bool isGated() const { return gated_; }
@@ -197,11 +200,9 @@ private:
     stats::Scalar& statZeroCreditTicks_;
     stats::Scalar& statGatedTicks_;
     stats::Scalar& statIrqEdges_;
-    stats::Distribution& statOutstanding_;
-    /// Quantile-capable views of the bridge queues, sampled each delivered
-    /// tick alongside statOutstanding_: outstanding memory requests and
+    /// Sampled each delivered tick: outstanding memory requests and
     /// device-queue depth.
-    stats::Histogram& statOutstandingHist_;
+    stats::Histogram& statOutstanding_;
     stats::Histogram& statDevQueueHist_;
 };
 

@@ -62,12 +62,12 @@ std::string writeBenchJson(std::string_view filename, const Json& doc) {
     const std::string path = benchOutputPath(filename);
     std::ofstream out{path};
     if (!out) {
-        std::fprintf(stderr, "note: could not open %s for writing\n", path.c_str());
+        std::fprintf(stderr, "error: could not open %s for writing\n", path.c_str());
         return "";
     }
     out << doc.dump(2);
     if (!out.good()) {
-        std::fprintf(stderr, "note: write to %s failed\n", path.c_str());
+        std::fprintf(stderr, "error: write to %s failed\n", path.c_str());
         return "";
     }
     return path;

@@ -36,8 +36,9 @@ Json benchDocument(std::string_view benchName, unsigned jobs);
 std::string benchOutputPath(std::string_view filename);
 
 /// Serialize @p doc (pretty, 2-space indent) to benchOutputPath(filename).
-/// Returns the path written, or "" (with a note on stderr) on I/O failure —
-/// benches must not fail their shape checks because a disk write did.
+/// Returns the path written, or "" (with an error on stderr) on I/O failure.
+/// Callers must then exit non-zero: a bench whose output was lost has not
+/// passed.
 std::string writeBenchJson(std::string_view filename, const Json& doc);
 
 }  // namespace g5r::exp

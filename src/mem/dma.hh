@@ -110,7 +110,7 @@ private:
     stats::Scalar& descriptors_;
     stats::Scalar& bytesCopied_;
     stats::Histogram& descriptorLatency_;
-    stats::Distribution& inflight_;
+    stats::Histogram& inflight_;
 };
 
 }  // namespace g5r

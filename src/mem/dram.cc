@@ -25,7 +25,7 @@ DramChannel::DramChannel(Simulation& sim, std::string objName,
       bytesTransferred_(stats_.scalar("bytesTransferred", "data-bus bytes moved")),
       starvationBreaks_(stats_.scalar("starvationBreaks",
                                       "FR-FCFS picks forced to the oldest request")),
-      readQueueLatency_(stats_.distribution("readLatency", "enqueue-to-data ticks")) {
+      readQueueLatency_(stats_.histogram("readLatency", "enqueue-to-data ticks")) {
     simAssert(linesPerRow_ > 0, "row buffer smaller than a cache line");
 }
 
@@ -168,7 +168,7 @@ void DramChannel::processNextRequest() {
         ++writeBursts_;
     } else {
         ++readBursts_;
-        readQueueLatency_.sample(static_cast<double>(done - req.enqueueTick));
+        readQueueLatency_.sampleInt(done - req.enqueueTick);
         // The read's dramService window runs from arrival in the channel
         // queue to the tick its response leaves the controller pipeline.
         if (req.reqId != 0) {

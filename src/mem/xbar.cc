@@ -48,10 +48,9 @@ Xbar::~Xbar() = default;
 ResponsePort& Xbar::addCpuSidePort(const std::string& suffix) {
     const unsigned idx = static_cast<unsigned>(upPorts_.size());
     upPorts_.push_back(std::make_unique<UpPort>(name() + ".cpu_side." + suffix, *this, idx));
-    latency_.push_back(&stats_.distribution(
-        "latency." + suffix, "round-trip ticks, request accept to response arrival"));
-    latencyHist_.push_back(&stats_.histogram(
-        "latencyHist." + suffix, "round-trip ticks histogram (quantiles)"));
+    latency_.push_back({suffix, &stats_.histogram("latency." + suffix,
+                                                   "round-trip ticks, request accept to "
+                                                   "response arrival")});
 
     respLayers_.emplace_back();
     Layer& layer = respLayers_.back();
@@ -182,8 +181,7 @@ bool Xbar::handleResp(unsigned srcDown, PacketPtr& pkt) {
         return false;
     }
     const Tick rtt = curTick() - it->second.issued;
-    latency_[dstUp]->sample(static_cast<double>(rtt));
-    latencyHist_[dstUp]->sampleInt(rtt);
+    latency_[dstUp].ticks->sampleInt(rtt);
     respRoute_.erase(it);
     ++respsRouted_;
     acceptIntoLayer(layer, pkt, srcDown, *layer.deliverEvent);

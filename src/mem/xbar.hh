@@ -63,6 +63,12 @@ public:
     std::size_t numCpuSidePorts() const { return upPorts_.size(); }
     std::size_t numMemSidePorts() const { return downPorts_.size(); }
 
+    /// Upstream port @p up's suffix and its round-trip latency histogram:
+    /// ticks from request accept to response arrival, registered as the
+    /// stat "latency.<suffix>".
+    const std::string& cpuSideSuffix(unsigned up) const { return latency_[up].suffix; }
+    const stats::Histogram& latency(unsigned up) const { return *latency_[up].ticks; }
+
     // --- introspection for static analysis (src/lint/soc_lint) -------------
     const ResponsePort& cpuSidePort(unsigned idx) const;
     const RequestPort& memSidePort(unsigned idx) const;
@@ -87,7 +93,7 @@ private:
 
     /// Book-keeping for an outstanding request: where its response must be
     /// switched back to, and when the crossbar accepted the request (the
-    /// zero point of the per-requestor round-trip latency distribution).
+    /// zero point of the per-requestor round-trip latency histogram).
     struct RouteInfo {
         unsigned up;
         Tick issued;
@@ -121,13 +127,11 @@ private:
     stats::Scalar& respsRouted_;
     stats::Scalar& layerConflicts_;
     stats::Scalar& bytesRouted_;
-    /// Per upstream port: round-trip ticks from request accept to response
-    /// arrival ("latency.<suffix>"), indexed like upPorts_.
-    std::vector<stats::Distribution*> latency_;
-    /// Quantile-capable companions to latency_ ("latencyHist.<suffix>"):
-    /// same sample stream, but with exact bucket counts so p50/p99/p999 are
-    /// answerable and per-master histograms merge losslessly.
-    std::vector<stats::Histogram*> latencyHist_;
+    struct MasterLatency {
+        std::string suffix;
+        stats::Histogram* ticks;
+    };
+    std::vector<MasterLatency> latency_;  ///< Indexed like upPorts_.
 };
 
 }  // namespace g5r

@@ -14,8 +14,8 @@
 // Channels are flat numeric series derived from the stats:
 //
 //   Scalar / Formula  ->  "<obj>.<stat>"
-//   Distribution      ->  ".count" / ".mean" / ".max" sub-channels
-//   Histogram         ->  ".count" / ".p50" / ".p99" / ".p999" sub-channels
+//   Histogram         ->  ".count" / ".mean" / ".max" / ".p50" / ".p99" /
+//                         ".p999" sub-channels
 //
 // Samples are delta-encoded: each line carries only the channels whose value
 // changed since the previous sample, as (current - previous). Readers

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "mem/xbar.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
 #include "sim/stats.hh"
@@ -43,45 +44,20 @@ std::string joinDir(const std::string& dir, std::string file) {
 
 }  // namespace
 
-std::vector<std::pair<std::string, LatencySummary>> portLatencies(const stats::Group& group) {
+std::vector<std::pair<std::string, LatencySummary>> portLatencies(const Xbar& xbar) {
     std::vector<std::pair<std::string, LatencySummary>> out;
-    static constexpr std::string_view kKey = "latency.";
-    static constexpr std::string_view kHistKey = "latencyHist.";
-    for (const auto& stat : group.all()) {
-        const auto* dist = dynamic_cast<const stats::Distribution*>(stat.get());
-        if (dist == nullptr) continue;
-        const std::string& name = dist->name();
-        const auto pos = name.find(kKey);
-        if (pos == std::string::npos) continue;
-        if (pos != 0 && name[pos - 1] != '.') continue;
-        const std::string suffix = name.substr(pos + kKey.size());
-        LatencySummary summary{dist->count(), dist->minValue(), dist->mean(),
-                               dist->maxValue(), 0.0, 0.0};
-        // The shadowing histogram lives in the same group under
-        // "latencyHist.<suffix>" (relative to the group prefix).
-        const auto* hist = dynamic_cast<const stats::Histogram*>(
-            group.find(std::string{kHistKey} + suffix));
-        if (hist != nullptr) {
-            summary.p50Ticks = hist->quantile(0.50);
-            summary.p99Ticks = hist->quantile(0.99);
-        }
-        out.emplace_back(suffix, summary);
+    for (unsigned up = 0; up < xbar.numCpuSidePorts(); ++up) {
+        const stats::Histogram& h = xbar.latency(up);
+        out.emplace_back(xbar.cpuSideSuffix(up),
+                         LatencySummary{h.count(), h.minValue(), h.mean(), h.maxValue(),
+                                        h.quantile(0.50), h.quantile(0.99)});
     }
     return out;
 }
 
-stats::HistogramData mergedPortLatencyHistogram(const stats::Group& group) {
+stats::HistogramData mergedPortLatencyHistogram(const Xbar& xbar) {
     stats::HistogramData merged;
-    static constexpr std::string_view kHistKey = "latencyHist.";
-    for (const auto& stat : group.all()) {
-        const auto* hist = dynamic_cast<const stats::Histogram*>(stat.get());
-        if (hist == nullptr) continue;
-        const std::string& name = hist->name();
-        const auto pos = name.find(kHistKey);
-        if (pos == std::string::npos) continue;
-        if (pos != 0 && name[pos - 1] != '.') continue;
-        merged.merge(hist->data());
-    }
+    for (unsigned up = 0; up < xbar.numCpuSidePorts(); ++up) merged.merge(xbar.latency(up).data());
     return merged;
 }
 

@@ -45,18 +45,15 @@
 namespace g5r {
 class SimObject;
 class Simulation;
+class Xbar;
 namespace stats {
-class Group;
 class Stat;
 }  // namespace stats
 }  // namespace g5r
 
 namespace g5r::obs {
 
-/// Compact view of one per-requestor latency distribution, for BENCH_*.json.
-/// The percentile fields come from the "latencyHist.<suffix>" histogram that
-/// shadows each "latency.<suffix>" distribution; they are 0 when no matching
-/// histogram exists.
+/// Compact view of one per-requestor latency histogram, for BENCH_*.json.
 struct LatencySummary {
     std::uint64_t count = 0;
     double minTicks = 0.0;
@@ -66,15 +63,14 @@ struct LatencySummary {
     double p99Ticks = 0.0;
 };
 
-/// All "latency.<suffix>" distributions of a stats group (the per-master
-/// round-trip distributions an Xbar maintains), keyed by suffix.
-std::vector<std::pair<std::string, LatencySummary>> portLatencies(const stats::Group& group);
+/// The per-master round-trip latency histograms of @p xbar, keyed by
+/// cpu-side port suffix, in port order.
+std::vector<std::pair<std::string, LatencySummary>> portLatencies(const Xbar& xbar);
 
-/// Fold every "latencyHist.<suffix>" histogram of @p group into one
-/// SoC-wide latency histogram. The merge is exact (bucket counts add), so
-/// quantiles of the result are the true quantiles of the union of all
-/// per-master sample streams.
-stats::HistogramData mergedPortLatencyHistogram(const stats::Group& group);
+/// Fold every per-master latency histogram of @p xbar into one SoC-wide
+/// latency histogram. Bucket counts add exactly, so quantiles of the result
+/// are the true quantiles of the union of all per-master sample streams.
+stats::HistogramData mergedPortLatencyHistogram(const Xbar& xbar);
 
 class ObsSession final : public SimObserver {
 public:
@@ -152,8 +148,8 @@ private:
     /// True when request tracing is the *only* enabled sink: dispatchBegin
     /// then skips event resolution, profiling, and sampling entirely —
     /// request hooks are component-driven and never consult the dispatch
-    /// state, which is what keeps the always-on DSE tracing inside the <2%
-    /// overhead budget.
+    /// state. The always-on DSE tracing still costs 22-28% wall time on
+    /// perfbench's nvdla_staged workload; obs.reqtrace_frac tracks it.
     bool reqtraceOnly_ = false;
 
     /// Slot 0 is "(unattributed)"; object slots are allocated lazily the

@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "exp/json.hh"
+#include "sim/logging.hh"
 
 namespace g5r::stats {
 
@@ -29,6 +30,20 @@ double HistogramData::quantile(double q) const {
     return maxValue();  // Unreachable when counts_ is consistent with count_.
 }
 
+void HistogramData::merge(const HistogramData& other) {
+    if (other.count_ == 0) return;
+    if (other.counts_.size() > counts_.size()) counts_.resize(other.counts_.size(), 0);
+    for (std::size_t i = 0; i < other.counts_.size(); ++i) counts_[i] += other.counts_[i];
+    const double n = static_cast<double>(count_ + other.count_);
+    const double delta = other.mean_ - mean_;
+    m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
+                           static_cast<double>(other.count_) / n;
+    mean_ += delta * static_cast<double>(other.count_) / n;
+    count_ += other.count_;
+    if (other.min_ < min_) min_ = other.min_;
+    if (other.max_ > max_) max_ = other.max_;
+}
+
 std::string Group::qualify(std::string_view name) const {
     std::string full = prefix_;
     if (!full.empty()) full += '.';
@@ -38,7 +53,11 @@ std::string Group::qualify(std::string_view name) const {
 
 Stat& Group::adopt(std::unique_ptr<Stat> stat) {
     Stat& ref = *stat;
-    index_.emplace(ref.name(), stats_.size());
+    // Two stats under one name would alias: find() and dumpJson() could
+    // only ever see one of them.
+    if (!index_.emplace(ref.name(), stats_.size()).second) {
+        panicStream("duplicate stat name '" + ref.name() + "'");
+    }
     stats_.push_back(std::move(stat));
     return ref;
 }
@@ -52,11 +71,6 @@ Formula& Group::formula(std::string_view name, std::string_view desc,
                         std::function<double()> fn) {
     return static_cast<Formula&>(adopt(
         std::make_unique<Formula>(qualify(name), std::string{desc}, std::move(fn))));
-}
-
-Distribution& Group::distribution(std::string_view name, std::string_view desc) {
-    return static_cast<Distribution&>(
-        adopt(std::make_unique<Distribution>(qualify(name), std::string{desc})));
 }
 
 Histogram& Group::histogram(std::string_view name, std::string_view desc) {
@@ -86,23 +100,15 @@ exp::Json Group::dumpJson() const {
             rel.substr(0, prefix_.size()) == prefix_ && rel[prefix_.size()] == '.') {
             rel.remove_prefix(prefix_.size() + 1);
         }
-        if (const auto* dist = dynamic_cast<const Distribution*>(s.get())) {
-            // minValue()/maxValue() guard count==0 internally, so an empty
-            // distribution serializes as all-zeros rather than the min>max
-            // accumulator sentinels.
-            exp::Json d = exp::Json::object();
-            d["count"] = dist->count();
-            d["min"] = dist->minValue();
-            d["mean"] = dist->mean();
-            d["max"] = dist->maxValue();
-            d["stddev"] = dist->stddev();
-            doc[rel] = std::move(d);
-        } else if (const auto* hist = dynamic_cast<const Histogram*>(s.get())) {
+        if (const auto* hist = dynamic_cast<const Histogram*>(s.get())) {
+            // The accessors guard count==0, so an empty histogram
+            // serializes as all-zeros rather than its min>max sentinels.
             exp::Json h = exp::Json::object();
             h["count"] = hist->count();
             h["min"] = hist->minValue();
             h["mean"] = hist->mean();
             h["max"] = hist->maxValue();
+            h["stddev"] = hist->stddev();
             h["p50"] = hist->quantile(0.50);
             h["p90"] = hist->quantile(0.90);
             h["p99"] = hist->quantile(0.99);

@@ -77,66 +77,23 @@ private:
     std::function<double()> fn_;
 };
 
-/// Running distribution: min/max/mean/stddev of sampled values.
-///
-/// Moments accumulate with Welford's online algorithm. The naive
-/// sum-of-squares form cancels catastrophically once samples carry a large
-/// common offset (e.g. latencies measured in absolute ticks late in a long
-/// run): sumSq/n and mean² agree in their leading digits and the subtraction
-/// can even go negative. Welford tracks the centered second moment directly,
-/// so variance stays accurate and non-negative regardless of offset.
-class Distribution final : public Stat {
-public:
-    using Stat::Stat;
-
-    void sample(double v) {
-        ++count_;
-        const double delta = v - mean_;
-        mean_ += delta / static_cast<double>(count_);
-        m2_ += delta * (v - mean_);
-        if (v < min_) min_ = v;
-        if (v > max_) max_ = v;
-    }
-
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? mean_ : 0.0; }
-    double minValue() const { return count_ ? min_ : 0.0; }
-    double maxValue() const { return count_ ? max_ : 0.0; }
-
-    /// Population variance (divide by n, matching the historical behavior).
-    double variance() const {
-        if (count_ < 2) return 0.0;
-        return m2_ / static_cast<double>(count_);
-    }
-    double stddev() const { return std::sqrt(variance()); }
-
-    /// The headline value of a distribution is its mean.
-    double value() const override { return mean(); }
-
-    void reset() override {
-        count_ = 0;
-        mean_ = m2_ = 0.0;
-        min_ = std::numeric_limits<double>::max();
-        max_ = std::numeric_limits<double>::lowest();
-    }
-
-private:
-    std::uint64_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;  ///< Sum of squared deviations from the running mean.
-    double min_ = std::numeric_limits<double>::max();
-    double max_ = std::numeric_limits<double>::lowest();
-};
-
-/// Exact-count log2-bucketed histogram state (HDR-style).
+/// Exact-count log2-bucketed histogram state (HDR-style), the one sampled
+/// stat type.
 ///
 /// Buckets are octaves split into 2^kSubBucketBits linear sub-buckets, so
 /// values below kSubBuckets are recorded exactly and larger values with a
 /// bounded relative error of 1/kSubBuckets (~3.1%). Counts are exact 64-bit
-/// integers, which makes two properties the Welford distribution cannot
-/// offer: arbitrary quantile queries (p50/p90/p99/p999) and lossless
-/// merging across instances (per-master latency histograms fold into one
+/// integers, so arbitrary quantiles (p50/p90/p99/p999) are answerable and
+/// instances merge losslessly (per-master latency histograms fold into one
 /// SoC-wide histogram by adding bucket counts).
+///
+/// count, min and max are exact. mean and variance come from running
+/// moments updated with Welford's online algorithm: the naive
+/// sum-of-squares form cancels catastrophically once samples carry a large
+/// common offset (e.g. absolute ticks late in a long run), while Welford
+/// tracks the centered second moment directly and stays accurate and
+/// non-negative regardless of offset. merge() combines the moments with the
+/// pairwise formula of Chan et al.
 ///
 /// This is a plain copyable value type; the Stat wrapper below registers it
 /// in a Group. Samples are non-negative magnitudes (ticks, queue depths);
@@ -175,7 +132,10 @@ public:
         if (idx >= counts_.size()) counts_.resize(idx + 1, 0);
         ++counts_[idx];
         ++count_;
-        sum_ += static_cast<double>(v);
+        const double x = static_cast<double>(v);
+        const double delta = x - mean_;
+        mean_ += delta / static_cast<double>(count_);
+        m2_ += delta * (x - mean_);
         if (v < min_) min_ = v;
         if (v > max_) max_ = v;
     }
@@ -187,22 +147,21 @@ public:
                               : static_cast<std::uint64_t>(std::llround(v)));
     }
 
-    /// Fold @p other into this histogram (exact: bucket counts add).
-    void merge(const HistogramData& other) {
-        if (other.counts_.size() > counts_.size()) counts_.resize(other.counts_.size(), 0);
-        for (std::size_t i = 0; i < other.counts_.size(); ++i) counts_[i] += other.counts_[i];
-        count_ += other.count_;
-        sum_ += other.sum_;
-        if (other.count_ > 0) {
-            if (other.min_ < min_) min_ = other.min_;
-            if (other.max_ > max_) max_ = other.max_;
-        }
-    }
+    /// Fold @p other into this histogram. Bucket counts add exactly; the
+    /// moments combine pairwise (Chan et al.).
+    void merge(const HistogramData& other);
 
     std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
+    double mean() const { return count_ ? mean_ : 0.0; }
     double minValue() const { return count_ ? static_cast<double>(min_) : 0.0; }
     double maxValue() const { return count_ ? static_cast<double>(max_) : 0.0; }
+
+    /// Population variance (divide by n).
+    double variance() const {
+        if (count_ < 2) return 0.0;
+        return m2_ / static_cast<double>(count_);
+    }
+    double stddev() const { return std::sqrt(variance()); }
 
     /// Value v such that at least ceil(q * count) samples are <= v, reported
     /// as the upper edge of the containing bucket (exact for values below
@@ -217,7 +176,7 @@ public:
     void reset() {
         counts_.clear();
         count_ = 0;
-        sum_ = 0.0;
+        mean_ = m2_ = 0.0;
         min_ = std::numeric_limits<std::uint64_t>::max();
         max_ = 0;
     }
@@ -234,14 +193,13 @@ public:
 private:
     std::vector<std::uint64_t> counts_;  ///< Grown on demand to the top bucket.
     std::uint64_t count_ = 0;
-    double sum_ = 0.0;
+    double mean_ = 0.0;
+    double m2_ = 0.0;  ///< Sum of squared deviations from the running mean.
     std::uint64_t min_ = std::numeric_limits<std::uint64_t>::max();
     std::uint64_t max_ = 0;
 };
 
-/// The Stat wrapper over HistogramData: a quantile-capable companion to
-/// Distribution for the hot sampling sites (crossbar latency, bridge queue
-/// occupancy). The headline value is the mean, matching Distribution.
+/// The Stat wrapper over HistogramData. The headline value is the mean.
 class Histogram final : public Stat {
 public:
     using Stat::Stat;
@@ -255,6 +213,8 @@ public:
     double mean() const { return data_.mean(); }
     double minValue() const { return data_.minValue(); }
     double maxValue() const { return data_.maxValue(); }
+    double variance() const { return data_.variance(); }
+    double stddev() const { return data_.stddev(); }
     double quantile(double q) const { return data_.quantile(q); }
 
     double value() const override { return data_.mean(); }
@@ -273,7 +233,6 @@ public:
 
     Scalar& scalar(std::string_view name, std::string_view desc);
     Formula& formula(std::string_view name, std::string_view desc, std::function<double()> fn);
-    Distribution& distribution(std::string_view name, std::string_view desc);
     Histogram& histogram(std::string_view name, std::string_view desc);
 
     const std::string& prefix() const { return prefix_; }
@@ -287,10 +246,10 @@ public:
     void dump(std::ostream& os) const;
 
     /// The same snapshot as a JSON object keyed by stat name relative to
-    /// this group's prefix. Scalars and formulas become numbers;
-    /// distributions become {count, min, mean, max, stddev} objects. The
-    /// text dump() above is unchanged (and byte-identical) — this is a
-    /// parallel machine-readable view for BENCH_*.json-style consumers.
+    /// this group's prefix. Scalars and formulas become numbers; histograms
+    /// become {count, min, mean, max, stddev, p50, p90, p99, p999} objects.
+    /// This is a parallel machine-readable view of dump() for
+    /// BENCH_*.json-style consumers.
     exp::Json dumpJson() const;
 
     void resetAll();

@@ -69,10 +69,10 @@ PmuRunResult runPmuSortExperiment(const PmuRunConfig& config) {
     result.finalTick = run.tick;
     result.committedInsts = soc.core(0).committedInstructions();
     result.cycles = soc.core(0).cyclesRetired();
-    result.memLatency = obs::portLatencies(soc.memBus().statsGroup());
+    result.memLatency = obs::portLatencies(soc.memBus());
     {
         const stats::HistogramData merged =
-            obs::mergedPortLatencyHistogram(soc.memBus().statsGroup());
+            obs::mergedPortLatencyHistogram(soc.memBus());
         result.memLatencyP50 = merged.p50();
         result.memLatencyP99 = merged.p99();
     }
@@ -134,7 +134,10 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
     // Stage blame is part of every DSE result, so request tracing is always
     // on — in-memory ("-": no sidecar) unless the caller already configured
     // it or the GEM5RTL_REQTRACE overlay (applied inside Soc) speaks for
-    // itself. The reqtrace-only fast path keeps this inside the <2% budget.
+    // itself. This is not free: perfbench/run.py tracks the cost as
+    // obs.reqtrace_frac (forced tracing vs GEM5RTL_REQTRACE=0), measured at
+    // 0.22-0.28 on its nvdla_staged workload, and the fig. 7 sweep runs ~25%
+    // slower at --jobs 1 (4-core x86 host, g++ 12).
     if (!socCfg.obs.reqtraceEnabled && std::getenv("GEM5RTL_REQTRACE") == nullptr) {
         socCfg.obs.reqtraceEnabled = true;
         socCfg.obs.reqtracePath = "-";
@@ -233,9 +236,7 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
     }
     result.runtimeTicks = last;
     if (!instances.empty()) {
-        const auto* dist = dynamic_cast<const stats::Distribution*>(
-            instances[0].rtl->statsGroup().find("outstanding"));
-        if (dist != nullptr) result.avgOutstanding = dist->mean();
+        result.avgOutstanding = instances[0].rtl->outstandingStat().mean();
         if (dmaSpm) {
             const stats::Group& spmStats = soc.spm(0).statsGroup();
             if (const auto* s = spmStats.find("readHits")) result.spmReadHits = s->value();
@@ -254,10 +255,10 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
             }
         }
     }
-    result.memLatency = obs::portLatencies(soc.memBus().statsGroup());
+    result.memLatency = obs::portLatencies(soc.memBus());
     {
         const stats::HistogramData merged =
-            obs::mergedPortLatencyHistogram(soc.memBus().statsGroup());
+            obs::mergedPortLatencyHistogram(soc.memBus());
         result.memLatencyP50 = merged.p50();
         result.memLatencyP99 = merged.p99();
     }

@@ -117,7 +117,7 @@ struct DseRunResult {
     std::string reqtracePath;    ///< Sidecar path, when one was written.
 
     /// Per-master round-trip latency on the memory bus ("latency.<suffix>"
-    /// distributions), always collected — the Xbar maintains them whether
+    /// histograms), always collected — the Xbar maintains them whether
     /// or not observability is on.
     std::vector<std::pair<std::string, obs::LatencySummary>> memLatency;
 

@@ -236,7 +236,7 @@ TEST(RtlObjectNvdla, InflightCapIsRespected) {
     NvdlaSocHarness h{4};
     h.run();
     ASSERT_TRUE(h.host->finished());
-    const auto* dist = dynamic_cast<const stats::Distribution*>(
+    const auto* dist = dynamic_cast<const stats::Histogram*>(
         h.sim.findStat("nvdla0.outstanding"));
     ASSERT_NE(dist, nullptr);
     EXPECT_LE(dist->maxValue(), 4.0);

@@ -49,11 +49,16 @@ TEST(XbarLatency, DistributionCountsEveryRoundTrip) {
     ASSERT_EQ(h.reqB->numResponses(), kB);
 
     const auto* distA =
-        dynamic_cast<const stats::Distribution*>(h.sim.findStat("xbar.latency.a"));
+        dynamic_cast<const stats::Histogram*>(h.sim.findStat("xbar.latency.a"));
     const auto* distB =
-        dynamic_cast<const stats::Distribution*>(h.sim.findStat("xbar.latency.b"));
+        dynamic_cast<const stats::Histogram*>(h.sim.findStat("xbar.latency.b"));
     ASSERT_NE(distA, nullptr);
     ASSERT_NE(distB, nullptr);
+    // The crossbar hands out the same histograms directly, in port order.
+    EXPECT_EQ(&h.xbar->latency(0), distA);
+    EXPECT_EQ(&h.xbar->latency(1), distB);
+    EXPECT_EQ(h.xbar->cpuSideSuffix(0), "a");
+    EXPECT_EQ(h.xbar->cpuSideSuffix(1), "b");
     EXPECT_EQ(distA->count(), kA);
     EXPECT_EQ(distB->count(), kB);
 
@@ -71,7 +76,7 @@ TEST(XbarLatency, WritebacksDoNotSampleLatency) {
     h.reqA->issueAt(0, std::move(wb));
     h.sim.run();
     const auto* dist =
-        dynamic_cast<const stats::Distribution*>(h.sim.findStat("xbar.latency.a"));
+        dynamic_cast<const stats::Histogram*>(h.sim.findStat("xbar.latency.a"));
     ASSERT_NE(dist, nullptr);
     // No response ever returned, so nothing was sampled.
     EXPECT_EQ(dist->count(), 0u);
@@ -82,14 +87,21 @@ TEST(XbarLatency, PortLatenciesSummarisesEveryMaster) {
     for (int i = 0; i < 4; ++i) h.reqA->issueAt(0, makeReadPacket(64 * i, 64));
     h.sim.run();
 
-    const auto latencies = obs::portLatencies(h.xbar->statsGroup());
-    ASSERT_EQ(latencies.size(), 2u);  // One summary per cpu-side port.
-    const auto* a = &latencies[0];
-    if (a->first != "a") a = &latencies[1];
-    ASSERT_EQ(a->first, "a");
-    EXPECT_EQ(a->second.count, 4u);
-    EXPECT_LE(a->second.minTicks, a->second.meanTicks);
-    EXPECT_LE(a->second.meanTicks, a->second.maxTicks);
+    const auto latencies = obs::portLatencies(*h.xbar);
+    ASSERT_EQ(latencies.size(), 2u);  // One summary per cpu-side port, in order.
+    const auto& a = latencies[0];
+    ASSERT_EQ(a.first, "a");
+    EXPECT_EQ(latencies[1].first, "b");
+    EXPECT_EQ(a.second.count, 4u);
+    EXPECT_LE(a.second.minTicks, a.second.meanTicks);
+    EXPECT_LE(a.second.meanTicks, a.second.maxTicks);
+    EXPECT_LE(a.second.minTicks, a.second.p50Ticks);
+    EXPECT_LE(a.second.p50Ticks, a.second.p99Ticks);
+    EXPECT_LE(a.second.p99Ticks, a.second.maxTicks);
+    EXPECT_EQ(latencies[1].second.count, 0u);
+
+    // The SoC-wide rollup folds every master's histogram.
+    EXPECT_EQ(obs::mergedPortLatencyHistogram(*h.xbar).count(), 4u);
 }
 
 TEST(XbarLatency, AppearsInTextAndJsonStatDumps) {
@@ -106,6 +118,7 @@ TEST(XbarLatency, AppearsInTextAndJsonStatDumps) {
     EXPECT_EQ(lat.at("count").asInt(), 1);
     EXPECT_GT(lat.at("mean").asDouble(), 0.0);
     EXPECT_TRUE(lat.contains("stddev"));
+    EXPECT_TRUE(lat.contains("p99"));
 }
 
 }  // namespace

@@ -162,7 +162,7 @@ MetricsTimeline timelineOf(double finalReads, double finalP99) {
     MetricsSample s1;
     s1.tick = 1000;
     s1.deltas.emplace_back("mem.numReads", finalReads / 2);
-    s1.deltas.emplace_back("bus.latencyHist.cpu0.p99", finalP99);
+    s1.deltas.emplace_back("bus.latency.cpu0.p99", finalP99);
     MetricsSample s2;
     s2.tick = 5000;
     s2.deltas.emplace_back("mem.numReads", finalReads / 2);
@@ -179,7 +179,7 @@ TEST(StatsDiff, TimelinesCompareByFinalValue) {
     const StatsDiffReport report =
         diffTimelines(base, timelineOf(100.0, 40000.0), StatsDiffOptions{});
     ASSERT_EQ(report.violations.size(), 1u);
-    EXPECT_EQ(report.violations[0].metric, "bus.latencyHist.cpu0.p99");
+    EXPECT_EQ(report.violations[0].metric, "bus.latency.cpu0.p99");
     EXPECT_NEAR(report.violations[0].relDelta, 1.0, 1e-9);
 
     // A channel present in the baseline but absent from current is a loss.
@@ -222,9 +222,9 @@ TEST(StatsCli, RenderersProduceReadableOutput) {
     EXPECT_NE(strip.find("mem.numReads"), std::string::npos);
     EXPECT_NE(strip.find("final 100"), std::string::npos);
     // The filter drops non-matching channels.
-    const std::string filtered = renderTimeline(tl, "latencyHist", 0);
+    const std::string filtered = renderTimeline(tl, "latency.", 0);
     EXPECT_EQ(filtered.find("mem.numReads"), std::string::npos);
-    EXPECT_NE(filtered.find("bus.latencyHist.cpu0.p99"), std::string::npos);
+    EXPECT_NE(filtered.find("bus.latency.cpu0.p99"), std::string::npos);
 
     const std::string table = renderBenchPercentiles(benchDoc(1e6));
     EXPECT_NE(table.find("memTech=hbm"), std::string::npos);

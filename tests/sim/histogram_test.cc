@@ -118,7 +118,9 @@ TEST(Histogram, MergeIsLossless) {
     }
     a.merge(b);
     EXPECT_EQ(a.count(), whole.count());
-    EXPECT_DOUBLE_EQ(a.mean(), whole.mean());
+    // The mean is a running Welford moment, not an exact integer sum, so
+    // merging reorders its rounding: equal to well within 1e-12 relative.
+    EXPECT_NEAR(a.mean(), whole.mean(), 1e-12 * whole.mean());
     EXPECT_DOUBLE_EQ(a.minValue(), whole.minValue());
     EXPECT_DOUBLE_EQ(a.maxValue(), whole.maxValue());
     for (const double q : {0.5, 0.9, 0.99, 0.999}) {
@@ -150,6 +152,28 @@ TEST(Histogram, MergeIsLossless) {
     EXPECT_EQ(fresh.count(), whole.count());
     EXPECT_DOUBLE_EQ(fresh.minValue(), whole.minValue());
     EXPECT_DOUBLE_EQ(fresh.p99(), whole.p99());
+}
+
+TEST(Histogram, MergedStddevMatchesSingleStream) {
+    // The running moments combine pairwise on merge: the merged stddev must
+    // match one histogram fed the union. Uneven sizes and far-apart means
+    // exercise the cross term of the combination.
+    Lcg rng{6};
+    HistogramData a, b, whole;
+    for (int i = 0; i < 3'000; ++i) {
+        const std::uint64_t v = 1'000'000'000 + rng.next() % 4'000;
+        a.sampleInt(v);
+        whole.sampleInt(v);
+    }
+    for (int i = 0; i < 700; ++i) {
+        const std::uint64_t v = 1'050'000'000 + rng.next() % 90'000;
+        b.sampleInt(v);
+        whole.sampleInt(v);
+    }
+    a.merge(b);
+    ASSERT_GT(whole.stddev(), 0.0);
+    EXPECT_NEAR(a.stddev(), whole.stddev(), 1e-9 * whole.stddev());
+    EXPECT_NEAR(a.mean(), whole.mean(), 1e-9 * whole.mean());
 }
 
 TEST(Histogram, SmallValuesAreExact) {
@@ -227,19 +251,19 @@ TEST(Histogram, EdgeCasesAndClamping) {
 
 TEST(Histogram, GroupWrapperRegistersAndDumps) {
     Group g{"xbar"};
-    Histogram& h = g.histogram("latencyHist.cpu0", "round-trip ticks");
+    Histogram& h = g.histogram("latency.cpu0", "round-trip ticks");
     for (const std::uint64_t v : {100u, 200u, 300u, 400u}) h.sampleInt(v);
 
     // Registered and findable like any other stat; headline value = mean.
-    const Stat* found = g.find("latencyHist.cpu0");
+    const Stat* found = g.find("latency.cpu0");
     ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found->name(), "xbar.latencyHist.cpu0");
+    EXPECT_EQ(found->name(), "xbar.latency.cpu0");
     EXPECT_DOUBLE_EQ(found->value(), 250.0);
     ASSERT_NE(dynamic_cast<const Histogram*>(found), nullptr);
 
     // dumpJson carries the quantile block.
     const exp::Json doc = exp::Json::parse(g.dumpJson().dump());
-    const exp::Json& j = doc.at("latencyHist.cpu0");
+    const exp::Json& j = doc.at("latency.cpu0");
     EXPECT_EQ(j.at("count").asInt(), 4);
     EXPECT_DOUBLE_EQ(j.at("min").asDouble(), 100.0);
     EXPECT_DOUBLE_EQ(j.at("mean").asDouble(), 250.0);

@@ -1,4 +1,4 @@
-// Statistics framework: scalars, formulas, distributions, lookup and dumps.
+// Statistics framework: scalars, formulas, histograms, lookup and dumps.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -41,7 +41,7 @@ TEST(Stats, FormulaEvaluatesLazily) {
 
 TEST(Stats, DistributionTracksMoments) {
     stats::Group g{"grp"};
-    auto& d = g.distribution("lat", "latency");
+    auto& d = g.histogram("lat", "latency");
     for (const double v : {1.0, 2.0, 3.0, 4.0}) d.sample(v);
     EXPECT_EQ(d.count(), 4u);
     EXPECT_DOUBLE_EQ(d.mean(), 2.5);
@@ -62,6 +62,17 @@ TEST(Stats, GroupFindQualifiesNames) {
     EXPECT_EQ(found->name(), "cpu0.commits");
     EXPECT_DOUBLE_EQ(found->value(), 7.0);
     EXPECT_EQ(g.find("nope"), nullptr);
+}
+
+TEST(Stats, DuplicateNameIsRejected) {
+    // A second stat under a taken name would alias the first in find() and
+    // dumpJson(); registration must fail loudly and name the stat.
+    auto registerTwice = [] {
+        stats::Group g{"membus"};
+        g.histogram("latency.cpu0", "round-trip ticks");
+        g.scalar("latency.cpu0", "same name, different type");
+    };
+    EXPECT_DEATH(registerTwice(), "duplicate stat name 'membus.latency.cpu0'");
 }
 
 TEST(Stats, SimulationWideLookup) {
@@ -87,7 +98,7 @@ TEST(Stats, SimulationWideLookup) {
 // negative variance. Welford's algorithm keeps the exact small variance.
 TEST(Stats, DistributionVarianceSurvivesLargeOffset) {
     stats::Group g{"grp"};
-    auto& d = g.distribution("lat", "latency");
+    auto& d = g.histogram("lat", "latency");
     for (const double delta : {4.0, 7.0, 13.0, 16.0}) d.sample(1e9 + delta);
     // Population variance of {4,7,13,16} (mean 10): (36+9+9+36)/4 = 22.5.
     EXPECT_NEAR(d.variance(), 22.5, 1e-6);
@@ -104,7 +115,7 @@ TEST(Stats, DistributionVarianceSurvivesLargeOffset) {
 
 TEST(Stats, SingleSampleHasZeroVariance) {
     stats::Group g{"grp"};
-    auto& d = g.distribution("lat", "latency");
+    auto& d = g.histogram("lat", "latency");
     EXPECT_DOUBLE_EQ(d.variance(), 0.0);  // Empty.
     d.sample(123.0);
     EXPECT_DOUBLE_EQ(d.variance(), 0.0);  // One sample.
@@ -114,7 +125,7 @@ TEST(Stats, SingleSampleHasZeroVariance) {
 TEST(Stats, GroupDumpJsonRoundTrips) {
     stats::Group g{"mem"};
     g.scalar("reads", "read count") += 3;
-    auto& d = g.distribution("lat", "latency");
+    auto& d = g.histogram("lat", "latency");
     for (const double v : {10.0, 20.0, 30.0}) d.sample(v);
 
     // Serialize then re-parse through the same exp/json model CI uses.
@@ -126,47 +137,40 @@ TEST(Stats, GroupDumpJsonRoundTrips) {
     EXPECT_DOUBLE_EQ(lat.at("mean").asDouble(), 20.0);
     EXPECT_DOUBLE_EQ(lat.at("max").asDouble(), 30.0);
     EXPECT_NEAR(lat.at("stddev").asDouble(), std::sqrt(200.0 / 3.0), 1e-9);
+    // Values below kSubBuckets are exact, so quantiles are sample values.
+    EXPECT_DOUBLE_EQ(lat.at("p50").asDouble(), 20.0);
+    EXPECT_DOUBLE_EQ(lat.at("p90").asDouble(), 30.0);
+    EXPECT_DOUBLE_EQ(lat.at("p99").asDouble(), 30.0);
+    EXPECT_DOUBLE_EQ(lat.at("p999").asDouble(), 30.0);
+    EXPECT_EQ(lat.size(), 9u);  // count, min, mean, max, stddev, p50..p999.
 }
 
 TEST(Stats, DumpJsonEmptyDistributionEmitsZeros) {
-    // A never-sampled distribution must serialize as zeros, not as its
-    // internal min/max sentinels (DBL_MAX / lowest) — downstream JSON
+    // A never-sampled histogram must serialize as zeros, not as its
+    // internal min/max sentinels (UINT64_MAX / 0) — downstream JSON
     // consumers treat min > max as corruption.
     stats::Group g{"mem"};
-    g.distribution("lat", "latency");
-    g.histogram("latHist", "latency histogram");
+    g.histogram("lat", "latency");
     const exp::Json doc = exp::Json::parse(g.dumpJson().dump());
     const exp::Json& lat = doc.at("lat");
-    EXPECT_EQ(lat.at("count").asInt(), 0);
-    EXPECT_DOUBLE_EQ(lat.at("min").asDouble(), 0.0);
-    EXPECT_DOUBLE_EQ(lat.at("mean").asDouble(), 0.0);
-    EXPECT_DOUBLE_EQ(lat.at("max").asDouble(), 0.0);
-    EXPECT_DOUBLE_EQ(lat.at("stddev").asDouble(), 0.0);
-    const exp::Json& hist = doc.at("latHist");
-    EXPECT_EQ(hist.at("count").asInt(), 0);
-    EXPECT_DOUBLE_EQ(hist.at("min").asDouble(), 0.0);
-    EXPECT_DOUBLE_EQ(hist.at("p50").asDouble(), 0.0);
-    EXPECT_DOUBLE_EQ(hist.at("p999").asDouble(), 0.0);
+    for (const char* key :
+         {"count", "min", "mean", "max", "stddev", "p50", "p90", "p99", "p999"}) {
+        EXPECT_DOUBLE_EQ(lat.at(key).asDouble(), 0.0) << key;
+    }
 }
 
 TEST(Stats, DumpJsonSingleSampleCollapsesToThatValue) {
     stats::Group g{"mem"};
-    auto& d = g.distribution("lat", "latency");
-    d.sample(42.0);
-    auto& h = g.histogram("latHist", "latency histogram");
-    h.sampleInt(42);
+    g.histogram("lat", "latency").sampleInt(42);
     const exp::Json doc = exp::Json::parse(g.dumpJson().dump());
-    for (const char* key : {"lat", "latHist"}) {
-        const exp::Json& j = doc.at(key);
-        EXPECT_EQ(j.at("count").asInt(), 1) << key;
-        EXPECT_DOUBLE_EQ(j.at("min").asDouble(), 42.0) << key;
-        EXPECT_DOUBLE_EQ(j.at("mean").asDouble(), 42.0) << key;
-        EXPECT_DOUBLE_EQ(j.at("max").asDouble(), 42.0) << key;
+    const exp::Json& j = doc.at("lat");
+    EXPECT_EQ(j.at("count").asInt(), 1);
+    EXPECT_DOUBLE_EQ(j.at("stddev").asDouble(), 0.0);
+    // min, mean, max and every quantile of a one-sample histogram are that
+    // sample.
+    for (const char* key : {"min", "mean", "max", "p50", "p90", "p99", "p999"}) {
+        EXPECT_DOUBLE_EQ(j.at(key).asDouble(), 42.0) << key;
     }
-    EXPECT_DOUBLE_EQ(doc.at("lat").at("stddev").asDouble(), 0.0);
-    // All quantiles of a one-sample histogram are that sample.
-    EXPECT_DOUBLE_EQ(doc.at("latHist").at("p50").asDouble(), 42.0);
-    EXPECT_DOUBLE_EQ(doc.at("latHist").at("p999").asDouble(), 42.0);
 }
 
 TEST(Stats, FindScalesAsIndexNotScan) {
