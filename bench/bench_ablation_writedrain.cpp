@@ -22,7 +22,7 @@ public:
     StreamDriver(Simulation& sim, std::string name)
         : ClockedObject(sim, std::move(name), periodFromGHz(2)),
           port_(this->name() + ".port", *this),
-          issueEvent_([this] { issue(); }, this->name() + ".issue") {}
+          issueEvent_([this] { issue(); }, *this, "issue") {}
 
     RequestPort& port() { return port_; }
 

@@ -15,7 +15,7 @@ RtlObject::RtlObject(Simulation& sim, std::string objName, const RtlObjectParams
       // so a tick rescheduled by wake() samples exactly the state a
       // free-running tick at the same edge would — the property that makes
       // idle gating timing-neutral.
-      tickEvent_([this] { tick(); }, name() + ".tick", EventPriority::kRtlTick),
+      tickEvent_([this] { tick(); }, *this, "tick", EventPriority::kRtlTick),
       statTicks_(stats_.scalar("ticks", "RTL clock ticks delivered to the model")),
       statDevReads_(stats_.scalar("devReads", "device-channel reads")),
       statDevWrites_(stats_.scalar("devWrites", "device-channel writes")),

@@ -13,7 +13,7 @@ SimpleCore::SimpleCore(Simulation& sim, std::string objName, const SimpleCorePar
       params_(params),
       iport_(name() + ".icache_port", *this),
       dport_(name() + ".dcache_port", *this),
-      stepEvent_([this] { step(); }, name() + ".step"),
+      stepEvent_([this] { step(); }, *this, "step"),
       statCommitted_(stats_.scalar("committedInsts", "instructions committed")),
       statLoads_(stats_.scalar("loads", "loads executed")),
       statStores_(stats_.scalar("stores", "stores executed")),

@@ -18,7 +18,7 @@
 //     --dump-cones            print each input's duplicate-cone statistics
 //     --baseline <file>       suppress findings recorded in a baseline file
 //     --write-baseline <file> record current findings as the new baseline
-#include <cstring>
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -32,6 +32,7 @@
 #include "rtl/analysis/cones.hh"
 #include "rtl/analysis/levelize.hh"
 #include "rtl/netlist.hh"
+#include "sim/parse_number.hh"
 
 namespace {
 
@@ -50,36 +51,7 @@ void listRules(std::ostream& os) {
     }
 }
 
-struct Input {
-    std::string label;   ///< Shown in diagnostics ("file.nl", "builtin:bitonic:8").
-    std::string source;  ///< Netlist text.
-};
-
-bool builtinSource(const std::string& spec, Input& input, std::string& error) {
-    const auto colon = spec.find(':');
-    const std::string name = spec.substr(0, colon);
-    unsigned n = 8;
-    if (colon != std::string::npos) {
-        try {
-            n = static_cast<unsigned>(std::stoul(spec.substr(colon + 1)));
-        } catch (const std::exception&) {
-            error = "bad builtin size in '" + spec + "'";
-            return false;
-        }
-    }
-    if (name == "bitonic") {
-        try {
-            input.source = g5r::rtl::bitonicSorterNetlist(n);
-        } catch (const g5r::rtl::NetlistError& e) {
-            error = e.what();
-            return false;
-        }
-        input.label = "builtin:bitonic:" + std::to_string(n);
-        return true;
-    }
-    error = "unknown builtin '" + name + "' (available: bitonic)";
-    return false;
-}
+using Input = g5r::rtl::DesignSource;
 
 void dumpLevels(const Input& input, const g5r::rtl::NetlistGraph& g,
                 const g5r::rtl::analysis::LevelSchedule& sched, std::ostream& os) {
@@ -130,12 +102,9 @@ int main(int argc, char** argv) {
             wantCones = true;
         } else if (arg == "--max-level") {
             if (++i >= argc) return usage(std::cerr, 2);
-            try {
-                opts.maxLogicDepth = static_cast<unsigned>(std::stoul(argv[i]));
-            } catch (const std::exception&) {
-                std::cerr << "g5r-lint: bad --max-level value '" << argv[i] << "'\n";
-                return 2;
-            }
+            const auto maxLevel = g5r::parseUnsigned(argv[i], UINT_MAX);
+            if (!maxLevel) return g5r::badOptionValue("g5r-lint", "--max-level", argv[i]);
+            opts.maxLogicDepth = static_cast<unsigned>(*maxLevel);
         } else if (arg == "--baseline") {
             if (++i >= argc) return usage(std::cerr, 2);
             baselinePath = argv[i];
@@ -147,13 +116,13 @@ int main(int argc, char** argv) {
             return 0;
         } else if (arg == "--builtin") {
             if (++i >= argc) return usage(std::cerr, 2);
-            Input input;
             std::string error;
-            if (!builtinSource(argv[i], input, error)) {
+            auto design = g5r::rtl::builtinDesign(argv[i], error);
+            if (!design) {
                 std::cerr << "g5r-lint: " << error << '\n';
                 return 2;
             }
-            inputs.push_back(std::move(input));
+            inputs.push_back(std::move(*design));
         } else if (arg == "--help" || arg == "-h") {
             return usage(std::cout, 0);
         } else if (!arg.empty() && arg[0] == '-') {
@@ -172,7 +141,7 @@ int main(int argc, char** argv) {
             }
             std::ostringstream ss;
             ss << in.rdbuf();
-            inputs.push_back(Input{arg, ss.str()});
+            inputs.push_back(Input{arg, "", ss.str()});
         }
     }
     if (inputs.empty()) return usage(std::cerr, 2);

@@ -10,8 +10,8 @@ Cache::Cache(Simulation& sim, std::string objName, const CacheParams& params)
       numSets_(params.sizeBytes / (params.lineSize * params.assoc)),
       cpuSide_(name() + ".cpu_side", *this),
       memSide_(name() + ".mem_side", *this),
-      reqEvent_([this] { trySendRequests(); }, name() + ".reqEvent"),
-      respEvent_([this] { trySendResponses(); }, name() + ".respEvent",
+      reqEvent_([this] { trySendRequests(); }, *this, "reqEvent"),
+      respEvent_([this] { trySendResponses(); }, *this, "respEvent",
                  EventPriority::kResponse),
       prefetcher_(params.prefetchDegree, params.lineSize),
       hits_(stats_.scalar("hits", "demand hits")),

@@ -9,7 +9,7 @@ DmaEngine::DmaEngine(Simulation& sim, std::string objName, const Params& params)
       params_(params),
       memPort_(name() + ".mem_side", *this, /*isMem=*/true),
       spmPort_(name() + ".spm_side", *this, /*isMem=*/false),
-      processEvent_([this] { process(); }, name() + ".process"),
+      processEvent_([this] { process(); }, *this, "process"),
       descriptors_(stats_.scalar("descriptors", "copy descriptors completed")),
       bytesCopied_(stats_.scalar("bytesCopied", "payload bytes copied")),
       descriptorLatency_(

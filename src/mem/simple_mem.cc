@@ -8,7 +8,7 @@ SimpleMemory::SimpleMemory(Simulation& sim, std::string objName, const Params& p
       params_(params),
       store_(backing),
       port_(name() + ".port", *this),
-      sendEvent_([this] { trySendResponses(); }, name() + ".sendEvent",
+      sendEvent_([this] { trySendResponses(); }, *this, "sendEvent",
                  EventPriority::kResponse),
       numReads_(stats_.scalar("numReads", "read requests serviced")),
       numWrites_(stats_.scalar("numWrites", "write requests serviced")),

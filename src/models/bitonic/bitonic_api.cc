@@ -61,17 +61,10 @@ rtl::EvalMode parseEvalMode(const char* config) {
     return spec == "levelized" ? rtl::EvalMode::kLevelized : rtl::EvalMode::kDirtyBit;
 }
 
-unsigned stagesFor(unsigned n) {
-    // Bitonic network depth: log(n) * (log(n)+1) / 2.
-    unsigned log2n = 0;
-    while ((1u << log2n) < n) ++log2n;
-    return log2n * (log2n + 1) / 2;
-}
-
 class BitonicWrapper {
 public:
     BitonicWrapper(unsigned n, rtl::EvalMode evalMode)
-        : n_(n), stages_(stagesFor(n)),
+        : n_(n), stages_(rtl::bitonicStages(n)),
           netlist_(rtl::bitonicSorterNetlist(n)), inputs_(n, 0), outputs_(n, 0) {
         netlist_.setEvalMode(evalMode);
     }

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string_view>
 #include <vector>
 
 #include "exp/json.hh"
+#include "sim/parse_number.hh"
 
 namespace g5r::obs {
 
@@ -262,8 +262,10 @@ int critpathCliMain(int argc, const char* const* argv) {
             waterfall = true;
         } else if (arg.rfind("--waterfall=", 0) == 0) {
             waterfall = true;
-            waterfallCount = static_cast<std::size_t>(
-                std::strtoull(argv[i] + std::strlen("--waterfall="), nullptr, 10));
+            const std::string_view value = arg.substr(std::strlen("--waterfall="));
+            const auto count = parseUnsigned(value, SIZE_MAX);
+            if (!count) return badOptionValue("g5r-critpath", "--waterfall", value);
+            waterfallCount = static_cast<std::size_t>(*count);
         } else if (arg == "--assert-sum") {
             assertSum = true;
         } else if (!arg.empty() && arg[0] == '-') {

@@ -87,9 +87,9 @@ void Recorder::flushInterval() {
     }
 }
 
-void Recorder::recordDispatch(Tick when, int slot, const std::string& label,
-                              std::uint64_t labelHash) {
+void Recorder::recordDispatch(Tick when, int slot, const std::string& label) {
     rollTo(when);
+    const std::uint64_t labelHash = digestOf(label);
     ++ivDispatchCount_;
     ++totalDispatches_;
     ivDispatchDigest_ = digestU64(digestU64(ivDispatchDigest_, labelHash), when);

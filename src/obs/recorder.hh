@@ -41,11 +41,8 @@ public:
     bool ok() const { return static_cast<bool>(out_); }
     const std::string& path() const { return path_; }
 
-    /// One event dispatch. @p labelHash is the precomputed digestOf(label)
-    /// (cached per Event* by ObsSession) so the hot path hashes 8 bytes,
-    /// not the label string.
-    void recordDispatch(Tick when, int slot, const std::string& label,
-                        std::uint64_t labelHash);
+    /// One event dispatch; @p label is the event's name.
+    void recordDispatch(Tick when, int slot, const std::string& label);
 
     /// One packet lifecycle step: op is 'I'ssue, 'F'orward, 'R'espond,
     /// 'C'omplete. addr/size/isRead are meaningful for 'I' only.

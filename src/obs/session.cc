@@ -111,8 +111,8 @@ ObsSession::ObsSession(Simulation& sim, const ObsOptions& opts, std::string_view
     reqtraceOnly_ = reqtrace_ != nullptr && trace_ == nullptr && profiler_ == nullptr &&
                     recorder_ == nullptr && metrics_ == nullptr;
 
-    // Slot 0 catches events whose name matches no registered object;
-    // object slots are handed out lazily by slotFor().
+    // Slot 0 catches ownerless events; object slots are handed out lazily
+    // by slotFor().
     if (profiler_) profiler_->addSlot("(unattributed)");
     if (trace_) {
         trace_->processName(runName.empty() ? std::string_view{"g5r"} : runName);
@@ -206,29 +206,6 @@ int ObsSession::slotFor(const SimObject& obj) {
     return slot;
 }
 
-const ObsSession::Owner& ObsSession::resolve(const Event& ev) {
-    const auto it = ownerCache_.find(&ev);
-    if (it != ownerCache_.end()) return it->second;
-
-    // Longest object-name prefix of the event name (on a '.' boundary)
-    // wins, so "system.cpu0.l1d.respond" attributes to the L1D, not the
-    // core. The live object list is consulted (not a snapshot) so objects
-    // created after the session still resolve.
-    const std::string evName = ev.name();
-    const SimObject* best = nullptr;
-    std::size_t bestLen = 0;
-    for (const SimObject* obj : sim_.objects()) {
-        const std::string& objName = obj->name();
-        if (objName.size() < bestLen || evName.size() < objName.size()) continue;
-        if (evName.compare(0, objName.size(), objName) != 0) continue;
-        if (evName.size() > objName.size() && evName[objName.size()] != '.') continue;
-        best = obj;
-        bestLen = objName.size();
-    }
-    const int slot = best != nullptr ? slotFor(*best) : 0;
-    return ownerCache_.emplace(&ev, Owner{slot, evName, digestOf(evName)}).first->second;
-}
-
 void ObsSession::runBegin() { runStart_ = Clock::now(); }
 
 void ObsSession::runEnd() {
@@ -245,13 +222,14 @@ void ObsSession::dispatchBegin(const Event& ev, Tick when) {
     curTick_ = when;
     // Request tracing alone needs none of the dispatch machinery: spans
     // arrive through the component-driven request hooks with their own
-    // ticks. Skipping resolve() here is what makes always-on tracing cheap.
+    // ticks. Returning here is what makes always-on tracing cheap.
     if (reqtraceOnly_) return;
-    const Owner& owner = resolve(ev);
-    curSlot_ = owner.slot;
-    curLabel_ = &owner.label;
+    curSlot_ = ev.owner() != nullptr ? slotFor(*ev.owner()) : 0;
+    // Copied, not referenced: a handler may destroy its own event before
+    // dispatchEnd() emits the span.
+    if (trace_) curLabel_ = ev.name();
     if (profiler_) profiler_->countDispatch(curSlot_);
-    if (recorder_) recorder_->recordDispatch(when, curSlot_, owner.label, owner.labelHash);
+    if (recorder_) recorder_->recordDispatch(when, curSlot_, ev.name());
     if (trace_ && !counters_.empty() && when >= nextCounterTick_) sampleCounters(when);
     if (metrics_) metrics_->maybeSample(when);
 
@@ -271,7 +249,7 @@ void ObsSession::dispatchEnd(Tick /*when*/) {
     const Clock::time_point end = Clock::now();
     const double seconds = std::chrono::duration<double>(end - dispatchStart_).count();
     if (trace_) {
-        trace_->completeEvent(curSlot_, *curLabel_, "dispatch", relUs(dispatchStart_),
+        trace_->completeEvent(curSlot_, curLabel_, "dispatch", relUs(dispatchStart_),
                               seconds * 1e6, curTick_);
     }
     if (profiler_) profiler_->addSample(curSlot_, seconds);

@@ -2,26 +2,16 @@
 //
 // One session per Simulation (and per thread — the one-thread-per-run model
 // of src/exp/ carries over). It fans the observer callbacks out to up to
-// three sinks, each individually optional:
+// five sinks, each individually optional:
 //
-//   * TraceSession  — Chrome/Perfetto trace: one "X" span per event
-//     dispatch on the owning SimObject's track, counter samples on a
-//     simulated-time interval, and flow arrows following each packet from
-//     issue to completion.
-//   * HostProfiler  — wall-time attribution per SimObject, folded into
-//     rtl/memory/core/other/queue buckets for the fig. 6/7 overhead story.
-//   * Recorder      — flight recording: interval digests of the dispatch
-//     and packet streams to a .g5rec sidecar for g5r-diff, plus the
-//     black-box ring panic() dumps.
+//   * TraceSession    — Perfetto trace: dispatch spans, counters, packet flows.
+//   * HostProfiler    — per-SimObject wall time in rtl/memory/core/... buckets.
+//   * Recorder        — .g5rec interval digests for g5r-diff, panic() black box.
+//   * MetricsSession  — .metrics.jsonl stat timeline for g5r-stats.
+//   * ReqTraceSession — request span trees for g5r-critpath stage blame.
 //
-// Event -> SimObject attribution works by name: event names in this
-// codebase are "<object>.<what>" ("system.membus.reqDeliver.dbbif"), so the
-// longest registered object name that prefixes the event name (on a '.'
-// boundary) owns the dispatch. The resolution is cached per Event*, making
-// it a hash lookup on the hot path. (Caveat: the cache keys on the event's
-// address, so a destroyed-then-reallocated event could inherit a stale
-// owner; events here are long-lived members, and a mis-attributed span is
-// an acceptable observability error.)
+// Each dispatch is charged to the SimObject its Event names as owner
+// (Event::owner()); ownerless events land in slot 0, "(unattributed)".
 #pragma once
 
 #include <chrono>
@@ -118,15 +108,8 @@ public:
 private:
     using Clock = std::chrono::steady_clock;
 
-    struct Owner {
-        int slot;
-        std::string label;       ///< Span name: the event's own name.
-        std::uint64_t labelHash;  ///< digestOf(label), for the recorder.
-    };
-
     ObsSession(Simulation& sim, const ObsOptions& opts, std::string_view runName);
 
-    const Owner& resolve(const Event& ev);
     int slotFor(const SimObject& obj);
     double relUs(Clock::time_point tp) const {
         return std::chrono::duration<double, std::micro>(tp - t0_).count();
@@ -146,7 +129,7 @@ private:
     std::shared_ptr<const ProfileReport> report_;
 
     /// True when request tracing is the *only* enabled sink: dispatchBegin
-    /// then skips event resolution, profiling, and sampling entirely —
+    /// then skips slot lookup, profiling, and sampling entirely —
     /// request hooks are component-driven and never consult the dispatch
     /// state. The always-on DSE tracing still costs 22-28% wall time on
     /// perfbench's nvdla_staged workload; obs.reqtrace_frac tracks it.
@@ -158,7 +141,6 @@ private:
     /// attributed. Trace tids equal slot indices.
     std::unordered_map<const SimObject*, int> slotByObject_;
     int nextSlot_ = 1;
-    std::unordered_map<const Event*, Owner> ownerCache_;
 
     std::vector<const stats::Stat*> counters_;
     Tick counterInterval_;
@@ -168,7 +150,7 @@ private:
     unsigned strideCount_ = 0;
     bool timedThis_ = false;
     int curSlot_ = 0;
-    const std::string* curLabel_ = nullptr;
+    std::string curLabel_;  ///< Name of the dispatching event (tracing only).
     Tick curTick_ = 0;
     Clock::time_point t0_;
     Clock::time_point dispatchStart_;

@@ -12,6 +12,7 @@
 
 #include "exp/json.hh"
 #include "obs/metrics.hh"
+#include "sim/parse_number.hh"
 
 namespace g5r::obs {
 
@@ -73,7 +74,8 @@ void flattenNumeric(const exp::Json& node, const std::string& prefix,
 
 double resolveThreshold(const StatsDiffOptions& opts, std::string_view metric) {
     for (const MetricThreshold& t : opts.perMetric) {
-        if (metric.find(t.match) != std::string_view::npos) return t.threshold;
+        if (metric.find(t.match) == std::string_view::npos) continue;
+        return t.threshold.value_or(opts.defaultThreshold);
     }
     return opts.defaultThreshold;
 }
@@ -414,7 +416,9 @@ int statsCliMain(int argc, const char* const* argv) {
             if (std::strcmp(argv[i], "--channel") == 0 && i + 1 < argc) {
                 filter = argv[++i];
             } else if (std::strcmp(argv[i], "--max") == 0 && i + 1 < argc) {
-                maxChannels = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+                const auto max = parseUnsigned(argv[++i], SIZE_MAX);
+                if (!max) return badOptionValue("g5r-stats", "--max", argv[i]);
+                maxChannels = static_cast<std::size_t>(*max);
             } else if (argv[i][0] == '-') {
                 return usage();
             } else if (path.empty()) {
@@ -474,17 +478,17 @@ int statsCliMain(int argc, const char* const* argv) {
         std::string basePath, curPath;
         for (int i = 2; i < argc; ++i) {
             if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-                opts.defaultThreshold = std::strtod(argv[++i], nullptr);
+                const auto threshold = parseNonNegative(argv[++i]);
+                if (!threshold) return badOptionValue("g5r-stats", "--threshold", argv[i]);
+                opts.defaultThreshold = *threshold;
             } else if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc) {
                 const std::string spec = argv[++i];
                 const auto eq = spec.find('=');
                 MetricThreshold t;
-                if (eq == std::string::npos) {
-                    t.match = spec;
-                    t.threshold = opts.defaultThreshold;
-                } else {
-                    t.match = spec.substr(0, eq);
-                    t.threshold = std::strtod(spec.c_str() + eq + 1, nullptr);
+                t.match = spec.substr(0, eq);
+                if (eq != std::string::npos) {
+                    t.threshold = parseNonNegative(std::string_view{spec}.substr(eq + 1));
+                    if (!t.threshold) return badOptionValue("g5r-stats", "--metric", spec);
                 }
                 opts.perMetric.push_back(std::move(t));
             } else if (argv[i][0] == '-') {

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,10 +38,11 @@ namespace g5r::obs {
 struct MetricsTimeline;
 
 /// One metric threshold override: metrics whose dotted path contains
-/// @p match (substring) use @p threshold instead of the default.
+/// @p match (substring) use @p threshold instead of the default (an unset
+/// threshold pins the metric to the default, whatever it is set to).
 struct MetricThreshold {
     std::string match;
-    double threshold = 0.25;
+    std::optional<double> threshold;
 };
 
 struct StatsDiffOptions {

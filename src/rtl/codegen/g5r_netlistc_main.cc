@@ -23,6 +23,7 @@
 //
 // Exit status: 0 success, 1 elaboration/codegen/compile failure, 2 usage.
 #include <algorithm>
+#include <climits>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -33,6 +34,7 @@
 
 #include "rtl/codegen/compile.hh"
 #include "rtl/netlist.hh"
+#include "sim/parse_number.hh"
 
 namespace {
 
@@ -45,51 +47,6 @@ int usage(std::ostream& os, int code) {
     return code;
 }
 
-unsigned bitonicStages(unsigned n) {
-    // Pipeline depth of the bitonic network: log2(n) * (log2(n)+1) / 2 —
-    // the same per-sort latency the interpreted bitonic wrapper models.
-    unsigned log2n = 0;
-    while ((1u << log2n) < n) ++log2n;
-    return log2n * (log2n + 1) / 2;
-}
-
-struct Input {
-    std::string label;
-    std::string source;
-    std::string defaultName;
-    unsigned defaultLatency = 0;  ///< 0: fall back to schedule depth.
-    unsigned elems = 0;           ///< Builtin element count (0 for files).
-};
-
-bool builtinInput(const std::string& spec, Input& input, std::string& error) {
-    const auto colon = spec.find(':');
-    const std::string name = spec.substr(0, colon);
-    unsigned n = 8;
-    if (colon != std::string::npos) {
-        try {
-            n = static_cast<unsigned>(std::stoul(spec.substr(colon + 1)));
-        } catch (const std::exception&) {
-            error = "bad builtin size in '" + spec + "'";
-            return false;
-        }
-    }
-    if (name != "bitonic") {
-        error = "unknown builtin '" + name + "' (available: bitonic)";
-        return false;
-    }
-    try {
-        input.source = g5r::rtl::bitonicSorterNetlist(n);
-    } catch (const g5r::rtl::NetlistError& e) {
-        error = e.what();
-        return false;
-    }
-    input.label = "builtin:bitonic:" + std::to_string(n);
-    input.defaultName = "bitonic_c" + std::to_string(n);
-    input.defaultLatency = bitonicStages(n);
-    input.elems = n;
-    return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -97,7 +54,7 @@ int main(int argc, char** argv) {
     g5r::rtl::codegen::CompileOptions ccOpts;
     std::string outPath, emitPath, modelName;
     bool wantStats = false, quiet = false;
-    Input input;
+    g5r::rtl::DesignSource input;
     bool haveInput = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -120,12 +77,9 @@ int main(int argc, char** argv) {
         } else if (arg == "--latency") {
             const char* v = value();
             if (v == nullptr) return usage(std::cerr, 2);
-            try {
-                cgOpts.deviceLatency = static_cast<unsigned>(std::stoul(v));
-            } catch (const std::exception&) {
-                std::cerr << "g5r-netlistc: bad --latency value '" << v << "'\n";
-                return 2;
-            }
+            const auto latency = g5r::parseUnsigned(v, UINT_MAX);
+            if (!latency) return g5r::badOptionValue("g5r-netlistc", "--latency", v);
+            cgOpts.deviceLatency = static_cast<unsigned>(*latency);
         } else if (arg == "--cxx") {
             const char* v = value();
             if (v == nullptr) return usage(std::cerr, 2);
@@ -138,10 +92,12 @@ int main(int argc, char** argv) {
             const char* v = value();
             if (v == nullptr) return usage(std::cerr, 2);
             std::string error;
-            if (!builtinInput(v, input, error)) {
+            auto design = g5r::rtl::builtinDesign(v, error);
+            if (!design) {
                 std::cerr << "g5r-netlistc: " << error << '\n';
                 return 2;
             }
+            input = std::move(*design);
             haveInput = true;
         } else if (arg == "--keep-source") {
             ccOpts.keepSource = true;
@@ -166,9 +122,7 @@ int main(int argc, char** argv) {
             }
             std::ostringstream ss;
             ss << in.rdbuf();
-            input.source = ss.str();
-            input.label = arg;
-            input.defaultName = std::filesystem::path{arg}.stem().string();
+            input = {arg, std::filesystem::path{arg}.stem().string(), ss.str()};
             haveInput = true;
         }
     }
@@ -178,9 +132,9 @@ int main(int argc, char** argv) {
         return usage(std::cerr, 2);
     }
 
-    cgOpts.modelName = !modelName.empty() ? modelName : input.defaultName;
+    cgOpts.modelName = !modelName.empty() ? modelName : input.modelName;
     cgOpts.sourceLabel = input.label;
-    if (cgOpts.deviceLatency == 0) cgOpts.deviceLatency = input.defaultLatency;
+    if (cgOpts.deviceLatency == 0) cgOpts.deviceLatency = input.latency;
 
     g5r::rtl::codegen::CodegenStats stats;
     try {

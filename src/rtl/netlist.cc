@@ -1,9 +1,11 @@
 #include "rtl/netlist.hh"
 
 #include <algorithm>
+#include <climits>
 #include <sstream>
 
 #include "lint/netlist_lint.hh"
+#include "sim/parse_number.hh"
 
 namespace g5r::rtl {
 
@@ -256,6 +258,37 @@ std::string bitonicSorterNetlist(unsigned n, unsigned width) {
 
     for (unsigned i = 0; i < n; ++i) os << "output out" << i << ' ' << cur[i] << "\n";
     return os.str();
+}
+
+unsigned bitonicStages(unsigned n) {
+    unsigned log2n = 0;
+    while ((1u << log2n) < n) ++log2n;
+    return log2n * (log2n + 1) / 2;
+}
+
+std::optional<DesignSource> builtinDesign(const std::string& spec, std::string& error) {
+    const auto colon = spec.find(':');
+    const std::string name = spec.substr(0, colon);
+    const auto n = colon == std::string::npos
+                       ? std::optional<std::uint64_t>{8}
+                       : parseUnsigned(std::string_view{spec}.substr(colon + 1), UINT_MAX);
+    if (!n) {
+        error = "bad builtin size in '" + spec + "'";
+        return std::nullopt;
+    }
+    if (name != "bitonic") {
+        error = "unknown builtin '" + name + "' (available: bitonic)";
+        return std::nullopt;
+    }
+    const auto elems = static_cast<unsigned>(*n);
+    try {
+        return DesignSource{"builtin:bitonic:" + std::to_string(elems),
+                            "bitonic_c" + std::to_string(elems), bitonicSorterNetlist(elems),
+                            bitonicStages(elems)};
+    } catch (const NetlistError& e) {
+        error = e.what();
+        return std::nullopt;
+    }
 }
 
 }  // namespace g5r::rtl

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -163,5 +164,21 @@ private:
 /// named in0..in{n-1}, outputs out0..out{n-1} (ascending). This is the
 /// "bitonic sorting accelerator written in VHDL" of the paper's GHDL test.
 std::string bitonicSorterNetlist(unsigned n, unsigned width = 64);
+
+/// Pipeline depth of the bitonic network over @p n inputs:
+/// log2(n) * (log2(n)+1) / 2 compare-exchange stages.
+unsigned bitonicStages(unsigned n);
+
+/// A netlist as the CLIs handle it: text plus the names shown for it.
+struct DesignSource {
+    std::string label;      ///< Shown in diagnostics ("file.nl", "builtin:bitonic:8").
+    std::string modelName;  ///< Default ABI model name.
+    std::string source;     ///< Netlist text.
+    unsigned latency = 0;   ///< Per-operation latency in cycles; 0 = unknown.
+};
+
+/// The generated design named by @p spec, "<name>[:N]" (only "bitonic",
+/// N defaulting to 8). On a bad spec returns nullopt and sets @p error.
+std::optional<DesignSource> builtinDesign(const std::string& spec, std::string& error);
 
 }  // namespace g5r::rtl

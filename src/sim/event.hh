@@ -2,14 +2,16 @@
 //
 // An Event is something that happens at a simulated tick. Events are owned by
 // the objects that schedule them (typically as data members) and must outlive
-// any tick at which they are scheduled. The queue orders events by
-// (tick, priority, insertion sequence), which makes simulation fully
-// deterministic for a fixed program.
+// any tick at which they are scheduled. An event may name its owning
+// SimObject, to which observability charges its dispatches. The queue orders
+// events by (tick, priority, insertion sequence), which makes simulation
+// fully deterministic for a fixed program.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "sim/ticks.hh"
@@ -17,6 +19,7 @@
 namespace g5r {
 
 class EventQueue;
+class SimObject;
 
 /// Scheduling priority: lower values run first within the same tick.
 enum class EventPriority : int {
@@ -34,7 +37,8 @@ enum class EventPriority : int {
 class Event {
 public:
     Event() = default;
-    explicit Event(EventPriority prio) : priority_(static_cast<int>(prio)) {}
+    Event(const SimObject* owner, std::string name, EventPriority prio)
+        : priority_(static_cast<int>(prio)), owner_(owner), name_(std::move(name)) {}
     Event(const Event&) = delete;
     Event& operator=(const Event&) = delete;
     virtual ~Event();
@@ -42,8 +46,11 @@ public:
     /// Invoked by the event queue when the event's tick is reached.
     virtual void process() = 0;
 
-    /// Human-readable identification used in debug traces.
-    virtual std::string name() const { return "anon-event"; }
+    /// Human-readable identification used in debug traces ("" if unnamed).
+    const std::string& name() const { return name_; }
+
+    /// The SimObject this event belongs to; null for an ownerless event.
+    const SimObject* owner() const { return owner_; }
 
     bool scheduled() const { return scheduled_; }
     Tick when() const { return when_; }
@@ -56,6 +63,8 @@ private:
     std::uint64_t generation_ = 0;  ///< Bumped on (de)schedule to invalidate stale heap entries.
     bool scheduled_ = false;
     EventQueue* queue_ = nullptr;   ///< Queue the event is currently scheduled on.
+    const SimObject* owner_ = nullptr;
+    std::string name_;
 };
 
 /// Convenience event that invokes a std::function. Mirrors gem5's
@@ -63,16 +72,19 @@ private:
 /// the constructor and rescheduled every cycle.
 class CallbackEvent final : public Event {
 public:
+    /// An ownerless event named @p eventName.
     CallbackEvent(std::function<void()> callback, std::string eventName,
                   EventPriority prio = EventPriority::kClockTick)
-        : Event(prio), callback_(std::move(callback)), name_(std::move(eventName)) {}
+        : Event(nullptr, std::move(eventName), prio), callback_(std::move(callback)) {}
+
+    /// An event owned by @p owner and named "<owner>.<what>".
+    CallbackEvent(std::function<void()> callback, const SimObject& owner,
+                  std::string_view what, EventPriority prio = EventPriority::kClockTick);
 
     void process() override { callback_(); }
-    std::string name() const override { return name_; }
 
 private:
     std::function<void()> callback_;
-    std::string name_;
 };
 
 }  // namespace g5r

@@ -2,8 +2,14 @@
 
 #include "sim/logging.hh"
 #include "sim/observer.hh"
+#include "sim/sim_object.hh"
 
 namespace g5r {
+
+CallbackEvent::CallbackEvent(std::function<void()> callback, const SimObject& owner,
+                             std::string_view what, EventPriority prio)
+    : Event(&owner, owner.name() + "." + std::string{what}, prio),
+      callback_(std::move(callback)) {}
 
 Event::~Event() {
     if (scheduled_ && queue_ != nullptr) queue_->deschedule(*this);

@@ -30,8 +30,8 @@ public:
           lcg_(p.seed != 0 ? p.seed : 1),
           cpuPort_(name() + ".cpu_side", *this),
           memPort_(name() + ".mem_side", *this),
-          reqRetryEvent_([this] { cpuPort_.sendReqRetry(); }, name() + ".req_retry"),
-          respRetryEvent_([this] { memPort_.sendRespRetry(); }, name() + ".resp_retry") {}
+          reqRetryEvent_([this] { cpuPort_.sendReqRetry(); }, *this, "req_retry"),
+          respRetryEvent_([this] { memPort_.sendRespRetry(); }, *this, "resp_retry") {}
 
     ResponsePort& cpuSidePort() { return cpuPort_; }
     RequestPort& memSidePort() { return memPort_; }

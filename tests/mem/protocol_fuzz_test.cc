@@ -29,7 +29,7 @@ public:
         : ClockedObject(sim, std::move(name), periodFromGHz(1)),
           port_(this->name() + ".port", *this),
           rng_(seed),
-          drainEvent_([this] { drain(); }, this->name() + ".drain") {}
+          drainEvent_([this] { drain(); }, *this, "drain") {}
 
     ResponsePort& port() { return port_; }
     std::uint64_t requestsServed() const { return served_; }

@@ -148,7 +148,7 @@ TEST(Recorder, UnopenablePathDegradesToBlackBoxOnly) {
     Recorder rec{"/nonexistent-g5r-dir/out.g5rec", "degraded", 1'000, 8};
     EXPECT_FALSE(rec.ok());
     rec.noteObjectName(1, "system.dev");
-    rec.recordDispatch(5, 1, "system.dev.ev", digestOf("system.dev.ev"));
+    rec.recordDispatch(5, 1, "system.dev.ev");
     rec.recordPacket(7, 1, 'I', 42, 0x100, 64, true);
     rec.finish(10);  // Must not crash with no file behind it.
     const std::string report = rec.blackBoxReport();
@@ -165,7 +165,7 @@ TEST(RecorderDeath, PanicDumpsBlackBoxAfterPanicMessage) {
     const auto crash = [&path] {
         Recorder rec{path, "panic-run", 1'000, 8};
         rec.noteObjectName(1, "system.dev");
-        rec.recordDispatch(5, 1, "system.dev.ev", digestOf("system.dev.ev"));
+        rec.recordDispatch(5, 1, "system.dev.ev");
         panic("recorder black box check");
     };
     EXPECT_DEATH(crash(),

@@ -248,6 +248,28 @@ TEST(ReqTrace, CritpathCliExitCodes) {
     std::remove(path.c_str());
 }
 
+TEST(ReqTrace, CritpathCliRejectsBadWaterfallCounts) {
+    const std::string path = ::testing::TempDir() + "/waterfall.reqtrace.jsonl";
+    {
+        ReqTraceSession session{path, "waterfall"};
+        populate(session);
+        session.finish(10'000);
+    }
+    const auto run = [&path](const char* flag) {
+        const char* argv[] = {"g5r-critpath", flag, path.c_str()};
+        return critpathCliMain(3, argv);
+    };
+    EXPECT_EQ(run("--waterfall"), 0);
+    EXPECT_EQ(run("--waterfall=1"), 0);
+    EXPECT_EQ(run("--waterfall=0"), 0);  // 0 = every root.
+    EXPECT_EQ(run("--waterfall=x"), 2);
+    EXPECT_EQ(run("--waterfall=3abc"), 2);
+    EXPECT_EQ(run("--waterfall=-1"), 2);
+    EXPECT_EQ(run("--waterfall="), 2);
+    EXPECT_EQ(run("--waterfall=99999999999999999999"), 2);
+    std::remove(path.c_str());
+}
+
 TEST(ReqTrace, OptionsComeFromEnvironment) {
     ::setenv("GEM5RTL_REQTRACE", "/tmp/reqtrace-out", 1);
     ObsOptions o = ObsOptions::fromEnv();

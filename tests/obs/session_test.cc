@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <deque>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -43,7 +44,7 @@ public:
     DroppingRequester(Simulation& sim, std::string name)
         : SimObject(sim, std::move(name)),
           port_(this->name() + ".port", *this),
-          issueEvent_([this] { issuePending(); }, this->name() + ".issue") {}
+          issueEvent_([this] { issuePending(); }, *this, "issue") {}
 
     RequestPort& port() { return port_; }
 
@@ -229,6 +230,58 @@ TEST(ObsSession, ProfilerAttributesEveryDispatch) {
     double total = 0.0;
     for (const auto& b : report->buckets()) total += b.seconds;
     EXPECT_NEAR(total, report->runSeconds, 1e-9);
+}
+
+// A profiled run over two plain SimObjects and one event; returns the
+// dispatch count charged to each profile entry.
+std::map<std::string, std::uint64_t> profiledDispatches(Simulation& sim, Event& ev) {
+    ObsOptions opts;
+    opts.profileEnabled = true;
+    auto session = ObsSession::create(sim, opts, "session_owner");
+    sim.eventQueue().schedule(ev, 100);
+    sim.run();
+    session->finish();
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& e : session->profileReport()->entries) out[e.name] = e.dispatches;
+    return out;
+}
+
+class NamedEvent final : public Event {
+public:
+    NamedEvent(const SimObject* owner, std::string name)
+        : Event(owner, std::move(name), EventPriority::kClockTick) {}
+    void process() override {}
+};
+
+// Attribution follows Event::owner(), not the event's name: a name that
+// spells another object's path does not move the dispatch there.
+TEST(ObsSession, OwnedEventIsChargedToItsOwnerWhateverItsName) {
+    Simulation sim;
+    SimObject owner{sim, "system.a"};
+    SimObject namesake{sim, "system.b"};
+    NamedEvent ev{&owner, "system.b.tick"};
+    EXPECT_EQ(ev.owner(), &owner);
+    const auto dispatches = profiledDispatches(sim, ev);
+    EXPECT_EQ(dispatches.at("system.a"), 1u);
+    EXPECT_EQ(dispatches.count("system.b"), 0u);
+}
+
+TEST(ObsSession, OwnerlessEventIsUnattributed) {
+    Simulation sim;
+    SimObject obj{sim, "system.a"};
+    CallbackEvent ev{[] {}, "system.a.tick"};
+    EXPECT_EQ(ev.owner(), nullptr);
+    const auto dispatches = profiledDispatches(sim, ev);
+    EXPECT_EQ(dispatches.at("(unattributed)"), 1u);
+    EXPECT_EQ(dispatches.count("system.a"), 0u);
+}
+
+TEST(ObsSession, OwnerConstructorKeepsTheDottedName) {
+    Simulation sim;
+    SimObject obj{sim, "system.a"};
+    CallbackEvent ev{[] {}, obj, "tick"};
+    EXPECT_EQ(ev.owner(), &obj);
+    EXPECT_EQ(ev.name(), "system.a.tick");
 }
 
 // The --jobs N story: concurrent simulations, each with its own session,

@@ -216,6 +216,66 @@ TEST(StatsCli, DiffExitCodesMatchTheGateContract) {
     for (const std::string& p : {basePath, samePath, worsePath}) std::remove(p.c_str());
 }
 
+// A typo must not open the gate: "25%" once parsed as 25.0 (a 2500% gate).
+TEST(StatsCli, NumericOptionsAreParsedWholeAndRangeChecked) {
+    const std::string basePath = writeDoc("num_base.json", benchDoc(1e6));
+    const std::string worsePath = writeDoc("num_worse.json", benchDoc(1.6e6));
+    const auto run = [&](std::vector<const char*> extra) {
+        std::vector<const char*> argv{"g5r-stats", "diff", basePath.c_str(),
+                                      worsePath.c_str()};
+        argv.insert(argv.end(), extra.begin(), extra.end());
+        return statsCliMain(static_cast<int>(argv.size()), argv.data());
+    };
+    for (const char* bad : {"25%", "0.7x", "", "-0.5", "-0", "inf", "nan", "1e999"}) {
+        SCOPED_TRACE(bad);
+        EXPECT_EQ(run({"--threshold", bad}), 2);
+        const std::string spec = std::string{"runtimeTicks="} + bad;
+        EXPECT_EQ(run({"--metric", spec.c_str()}), 2);
+    }
+    EXPECT_EQ(run({"--threshold", "0.7"}), 0);
+    EXPECT_EQ(run({"--threshold", "0"}), 1);
+    EXPECT_EQ(run({"--metric", "runtimeTicks=1e0"}), 0);
+
+    const std::string timelinePath = ::testing::TempDir() + "/num.metrics.jsonl";
+    std::ofstream{timelinePath} << "{\"g5rMetrics\":1,\"schema\":1,\"intervalTicks\":1000}\n"
+                                   "{\"t\":1000,\"d\":{\"mem.numReads\":50}}\n"
+                                   "{\"end\":1000,\"samples\":1}\n";
+    const auto timeline = [&](const char* max) {
+        std::vector<const char*> argv{"g5r-stats", "timeline", timelinePath.c_str(), "--max",
+                                      max};
+        return statsCliMain(static_cast<int>(argv.size()), argv.data());
+    };
+    EXPECT_EQ(timeline("4"), 0);
+    EXPECT_EQ(timeline("4abc"), 2);
+    EXPECT_EQ(timeline("-1"), 2);
+    EXPECT_EQ(timeline("x"), 2);
+
+    for (const std::string& p : {basePath, worsePath, timelinePath}) std::remove(p.c_str());
+}
+
+// "--metric NAME" takes the default threshold in force after all options
+// are read, not the one at its own position on the command line.
+TEST(StatsCli, MetricWithoutValueTakesTheFinalDefault) {
+    const std::string basePath = writeDoc("order_base.json", benchDoc(1e6));
+    const std::string worsePath = writeDoc("order_worse.json", benchDoc(1.6e6));
+    const auto run = [&](std::vector<const char*> extra) {
+        std::vector<const char*> argv{"g5r-stats", "diff", basePath.c_str(),
+                                      worsePath.c_str()};
+        argv.insert(argv.end(), extra.begin(), extra.end());
+        return statsCliMain(static_cast<int>(argv.size()), argv.data());
+    };
+    EXPECT_EQ(run({"--metric", "runtimeTicks", "--threshold", "0.7"}), 0);
+    EXPECT_EQ(run({"--threshold", "0.7", "--metric", "runtimeTicks"}), 0);
+    EXPECT_EQ(run({"--metric", "runtimeTicks=0.1", "--threshold", "0.7"}), 1);
+
+    StatsDiffOptions opts;
+    opts.defaultThreshold = 0.7;
+    opts.perMetric.push_back(MetricThreshold{"runtimeTicks", std::nullopt});
+    EXPECT_TRUE(diffBenchDocuments(benchDoc(1e6), benchDoc(1.6e6), opts).withinThresholds());
+
+    for (const std::string& p : {basePath, worsePath}) std::remove(p.c_str());
+}
+
 TEST(StatsCli, RenderersProduceReadableOutput) {
     const MetricsTimeline tl = timelineOf(100.0, 20000.0);
     const std::string strip = renderTimeline(tl, "", 0);

@@ -1,5 +1,6 @@
 // Odds and ends: deterministic RNG, stats dumping from a whole simulation,
-// the hardware event bus, and kernel invariant enforcement (death tests).
+// the hardware event bus, whole-string numeric parsing, and kernel
+// invariant enforcement (death tests).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -7,6 +8,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/hw_events.hh"
+#include "sim/parse_number.hh"
 #include "sim/rng.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
@@ -128,6 +130,27 @@ TEST(EventQueueDeath, DescheduleIdleEventPanics) {
         q.deschedule(ev);
     };
     EXPECT_DEATH(descheduleIdle(), "idle event");
+}
+
+TEST(ParseNumber, UnsignedConsumesTheWholeString) {
+    EXPECT_EQ(parseUnsigned("0"), 0u);
+    EXPECT_EQ(parseUnsigned("4096", 4096), 4096u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615"), std::numeric_limits<std::uint64_t>::max());
+    for (const char* bad : {"", "12abc", "-1", "+1", " 1", "1 ", "0x10", "1.5",
+                            "18446744073709551616"}) {
+        EXPECT_FALSE(parseUnsigned(bad).has_value()) << bad;
+    }
+    EXPECT_FALSE(parseUnsigned("4097", 4096).has_value());
+}
+
+TEST(ParseNumber, NonNegativeRejectsSignsGarbageAndNonFinite) {
+    EXPECT_EQ(parseNonNegative("0"), 0.0);
+    EXPECT_EQ(parseNonNegative("0.25"), 0.25);
+    EXPECT_EQ(parseNonNegative("1e-3"), 1e-3);
+    for (const char* bad : {"", "25%", "0.25x", "-0.5", "-0", "+1", " 1", "inf", "nan",
+                            "1e999"}) {
+        EXPECT_FALSE(parseNonNegative(bad).has_value()) << bad;
+    }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 
+#include "obs/profiler.hh"
 #include "soc/experiments.hh"
 #include "soc/model_loader.hh"
 #include "soc/soc.hh"
@@ -206,6 +207,66 @@ TEST(Experiments, TriggerEnvArmsWindowedCaptureOnThePmu) {
     unsetenv("GEM5RTL_TRIGGER");
     ASSERT_TRUE(quietRun.completed);
     EXPECT_FALSE(fileExists(quiet));
+}
+
+// Every event in the SoC names its owning SimObject, so the host profile
+// charges every dispatch to an object and "(unattributed)" stays empty —
+// on both NVDLA memory paths and on the PMU run (OoO core and caches).
+std::uint64_t unattributedDispatches(const obs::ProfileReport& report) {
+    std::uint64_t attributed = 0;
+    std::uint64_t unattributed = 0;
+    for (const obs::ProfileEntry& e : report.entries) {
+        attributed += e.dispatches;
+        if (e.name == "(unattributed)") unattributed += e.dispatches;
+    }
+    EXPECT_EQ(attributed, report.dispatches);
+    return unattributed;
+}
+
+bool hasEntry(const obs::ProfileReport& report, const std::string& name) {
+    for (const obs::ProfileEntry& e : report.entries) {
+        if (e.name == name) return e.dispatches > 0;
+    }
+    return false;
+}
+
+TEST(Experiments, EverySocDispatchIsChargedToItsOwner) {
+    for (const MemPath path : {MemPath::kDirect, MemPath::kDmaSpm}) {
+        SCOPED_TRACE(path == MemPath::kDirect ? "direct" : "dmaSpm");
+        experiments::DseRunConfig cfg;
+        cfg.shape.width = cfg.shape.height = 8;
+        cfg.shape.inChannels = cfg.shape.outChannels = 16;
+        cfg.shape.filterH = cfg.shape.filterW = 3;
+        cfg.workloadName = "ownership";
+        cfg.memTech = MemTech::kDdr4_1ch;
+        cfg.memPath = path;
+        cfg.maxInflight = 8;
+        cfg.numAccelerators = 1;
+        cfg.numCores = 0;
+        cfg.obs.profileEnabled = true;
+        const auto result = experiments::runNvdlaDse(cfg);
+        ASSERT_TRUE(result.completed);
+        ASSERT_NE(result.profile, nullptr);
+        EXPECT_GT(result.profile->dispatches, 0u);
+        EXPECT_EQ(unattributedDispatches(*result.profile), 0u);
+        EXPECT_TRUE(hasEntry(*result.profile, "system.nvdla0"));
+        if (path == MemPath::kDmaSpm) {
+            EXPECT_TRUE(hasEntry(*result.profile, "system.nvdla0.dma"));
+        }
+    }
+
+    experiments::PmuRunConfig cfg;
+    cfg.layout.baseElems = 40;
+    cfg.layout.sleepNs = 5'000;
+    cfg.numCores = 1;
+    cfg.obs.profileEnabled = true;
+    const auto result = experiments::runPmuSortExperiment(cfg);
+    ASSERT_TRUE(result.completed);
+    ASSERT_NE(result.profile, nullptr);
+    EXPECT_GT(result.profile->dispatches, 0u);
+    EXPECT_EQ(unattributedDispatches(*result.profile), 0u);
+    EXPECT_TRUE(hasEntry(*result.profile, "system.pmu"));
+    EXPECT_TRUE(hasEntry(*result.profile, "system.pmu_observer"));
 }
 
 TEST(Experiments, DsePointIdealBeatsNarrowDdr4) {
