@@ -26,32 +26,14 @@
 namespace g5r::bench {
 
 struct DsePoint {
+    /// The simulation behind this point: runtime, memory-bus latencies, the
+    /// host profile (when enabled), dmaSpm-path stats and stage blame.
+    /// Default-constructed when the point's column failed.
+    experiments::DseRunResult run;
     double normalized = 0;
-    Tick runtime = 0;
     double wallSeconds = 0;   ///< Host seconds for this one simulation.
     bool ok = false;
     std::string error;        ///< Why the point failed, when it did.
-
-    /// Per-master memory-bus latency summaries (always collected).
-    std::vector<std::pair<std::string, obs::LatencySummary>> memLatency;
-    /// SoC-wide latency percentiles (merged per-master histograms).
-    double memLatencyP50 = 0;
-    double memLatencyP99 = 0;
-    /// Host-time profile, only when GEM5RTL_PROFILE (or config) enabled it.
-    std::shared_ptr<const obs::ProfileReport> profile;
-
-    /// dmaSpm-path stats (zero on direct-path points).
-    double spmReadHits = 0;
-    double spmReadMisses = 0;
-    double spmMshrJoins = 0;
-    std::uint64_t dmaDescriptors = 0;
-    double dmaLatencyP50 = 0;  ///< Per-descriptor latency percentiles, ticks.
-    double dmaLatencyP99 = 0;
-    double dmaLatencyMax = 0;
-
-    /// Critical-path stage blame (stage name -> blamed ticks, "unattributed"
-    /// last); populated on every point since DSE runs always trace.
-    std::vector<std::pair<std::string, double>> stageBlame;
 };
 
 using Series = std::map<unsigned, DsePoint>;  // inflight -> point.
@@ -85,48 +67,28 @@ inline DseColumn runDseColumn(const models::NvdlaShape& shape,
     cfg.maxInflight = inflight;
     cfg.numCores = 0;  // Idle cores contribute nothing to this study.
 
-    const auto timed = [](const experiments::DseRunConfig& c, double& wallSeconds) {
+    const auto runPoint = [&cfg](DsePoint& point) {
         const auto start = std::chrono::steady_clock::now();
-        const auto run = experiments::runNvdlaDse(c);
-        wallSeconds =
+        point.run = experiments::runNvdlaDse(cfg);
+        point.wallSeconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-        return run;
+        point.ok = point.run.completed && point.run.checksumsOk;
     };
 
     DseColumn column;
     cfg.memTech = MemTech::kIdeal;
-    const auto idealRun = timed(cfg, column.ideal.wallSeconds);
+    runPoint(column.ideal);
     column.ideal.normalized = 1.0;
-    column.ideal.runtime = idealRun.runtimeTicks;
-    column.ideal.ok = idealRun.completed && idealRun.checksumsOk;
-    column.ideal.memLatency = idealRun.memLatency;
-    column.ideal.memLatencyP50 = idealRun.memLatencyP50;
-    column.ideal.memLatencyP99 = idealRun.memLatencyP99;
-    column.ideal.profile = idealRun.profile;
-    column.ideal.stageBlame = idealRun.stageBlame;
 
     for (const MemPath memPath : {MemPath::kDirect, MemPath::kDmaSpm}) {
         cfg.memPath = memPath;
         for (const MemTech tech : experiments::memTechSeries()) {
             cfg.memTech = tech;
             DsePoint point;
-            const auto run = timed(cfg, point.wallSeconds);
-            point.runtime = run.runtimeTicks;
-            point.ok = run.completed && run.checksumsOk;
-            point.normalized = experiments::normalizedPerf(idealRun, run);
-            point.memLatency = run.memLatency;
-            point.memLatencyP50 = run.memLatencyP50;
-            point.memLatencyP99 = run.memLatencyP99;
-            point.profile = run.profile;
-            point.spmReadHits = run.spmReadHits;
-            point.spmReadMisses = run.spmReadMisses;
-            point.spmMshrJoins = run.spmMshrJoins;
-            point.dmaDescriptors = run.dmaDescriptors;
-            point.dmaLatencyP50 = run.dmaLatencyP50;
-            point.dmaLatencyP99 = run.dmaLatencyP99;
-            point.dmaLatencyMax = run.dmaLatencyMax;
-            point.stageBlame = run.stageBlame;
-            (memPath == MemPath::kDirect ? column.techs : column.dmaSpm)[tech] = point;
+            runPoint(point);
+            point.normalized = experiments::normalizedPerf(column.ideal.run, point.run);
+            (memPath == MemPath::kDirect ? column.techs : column.dmaSpm)[tech] =
+                std::move(point);
         }
     }
     return column;
@@ -291,17 +253,18 @@ inline bool writeDseBenchJson(const DseResults& results, const std::string& benc
     doc["sweepWallSeconds"] = results.sweepWallSeconds;
 
     const auto addPoint = [&doc](unsigned n, const char* tech, unsigned inflight,
-                                 const DsePoint& p, const char* memPath = "direct") {
+                                 const DsePoint& point, const char* memPath = "direct") {
+        const experiments::DseRunResult& p = point.run;
         exp::Json entry = exp::Json::object();
         entry["accelerators"] = n;
         entry["memTech"] = tech;
         entry["memPath"] = memPath;
         entry["maxInflight"] = inflight;
-        entry["runtimeTicks"] = p.runtime;
-        entry["wallSeconds"] = p.wallSeconds;
-        entry["normalizedPerf"] = p.normalized;
-        entry["checksumOk"] = p.ok;
-        if (!p.error.empty()) entry["error"] = p.error;
+        entry["runtimeTicks"] = p.runtimeTicks;
+        entry["wallSeconds"] = point.wallSeconds;
+        entry["normalizedPerf"] = point.normalized;
+        entry["checksumOk"] = point.ok;
+        if (!point.error.empty()) entry["error"] = point.error;
         if (!p.memLatency.empty()) {
             exp::Json lat = exp::Json::object();
             for (const auto& [suffix, s] : p.memLatency) {

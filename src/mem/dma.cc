@@ -23,12 +23,12 @@ DmaEngine::DmaEngine(Simulation& sim, std::string objName, const Params& params)
 void DmaEngine::enqueue(Descriptor desc) {
     // Every descriptor is a traceable unit of work. The ID is allocated
     // unconditionally (the counter must advance identically traced or not);
-    // the begin report costs one branch when no observer is attached.
+    // the begin report costs one branch when request tracing is off.
     desc.id = sim_.allocRequestId();
-    if (SimObserver* obs = threadObserver()) {
-        obs->requestBegin(desc.id, desc.parent,
-                          desc.dir == Direction::kMemToSpm ? "dmaPrefetch" : "dmaDrain",
-                          curTick());
+    if (RequestSink* sink = sim_.requestSink()) {
+        sink->onBegin(desc.id, desc.parent,
+                      desc.dir == Direction::kMemToSpm ? "dmaPrefetch" : "dmaDrain",
+                      curTick());
     }
     queue_.push_back(std::move(desc));
     if (!processEvent_.scheduled()) eventQueue().schedule(processEvent_, clockEdge());
@@ -125,13 +125,13 @@ void DmaEngine::completeActive() {
     ++descriptors_;
     bytesCopied_ += static_cast<double>(active_->bytes);
     descriptorLatency_.sample(static_cast<double>(curTick() - activeStart_));
-    if (SimObserver* obs = threadObserver()) {
+    if (RequestSink* sink = sim_.requestSink()) {
         // A drain descriptor's active window is the job's "drain" stage;
         // a prefetch window is staging work.
         const ReqStage stage = active_->dir == Direction::kSpmToMem ? ReqStage::kDrain
                                                                     : ReqStage::kDmaStage;
-        obs->requestSpan(active_->id, stage, activeStart_, curTick());
-        obs->requestEnd(active_->id, curTick());
+        sink->onSpan(active_->id, stage, activeStart_, curTick());
+        sink->onEnd(active_->id, curTick());
     }
     // Move the callback out first: it may enqueue further descriptors (e.g.
     // a drain chained onto a prefetch) or inspect idle().

@@ -57,11 +57,9 @@ void DramChannel::enqueue(PacketPtr pkt) {
         // The write is acked up front, so its observable dramService window
         // is just the frontend pipeline; the queued burst happens later,
         // off the request's critical path.
-        if (reqId != 0) {
-            if (SimObserver* obs = threadObserver()) {
-                obs->requestSpan(reqId, ReqStage::kDramService, curTick(),
-                                 curTick() + params_.frontendLatency);
-            }
+        if (RequestSink* sink = sim_.requestSink(); sink && reqId != 0) {
+            sink->onSpan(reqId, ReqStage::kDramService, curTick(),
+                         curTick() + params_.frontendLatency);
         }
         writeQueue_.push_back(QueuedReq{nullptr, row, bank, curTick(), reqId});
     } else {
@@ -171,11 +169,9 @@ void DramChannel::processNextRequest() {
         readQueueLatency_.sampleInt(done - req.enqueueTick);
         // The read's dramService window runs from arrival in the channel
         // queue to the tick its response leaves the controller pipeline.
-        if (req.reqId != 0) {
-            if (SimObserver* obs = threadObserver()) {
-                obs->requestSpan(req.reqId, ReqStage::kDramService, req.enqueueTick,
-                                 done + params_.frontendLatency + params_.backendLatency);
-            }
+        if (RequestSink* sink = sim_.requestSink(); sink && req.reqId != 0) {
+            sink->onSpan(req.reqId, ReqStage::kDramService, req.enqueueTick,
+                         done + params_.frontendLatency + params_.backendLatency);
         }
         parent_.store().access(*req.pkt);
         req.pkt->makeResponse();

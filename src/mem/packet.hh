@@ -17,6 +17,7 @@
 #include "sim/logging.hh"
 #include "sim/observer.hh"
 #include "sim/packet_id.hh"
+#include "sim/request_sink.hh"
 #include "sim/ticks.hh"
 
 namespace g5r {
@@ -61,7 +62,7 @@ public:
     RequestorId requestor() const { return requestor_; }
     void setRequestor(RequestorId r) { requestor_ = r; }
 
-    /// Causal request tag (sim/observer.hh): the logical unit of work this
+    /// Causal request tag (sim/request_sink.hh): the logical unit of work this
     /// packet belongs to, or 0 when untagged. Set by the component that
     /// builds the packet; carried, never interpreted, by the memory system.
     /// Deliberately excluded from recorder digests so .g5rec identity is

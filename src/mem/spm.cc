@@ -158,10 +158,8 @@ bool Spm::handleFillResp(PacketPtr& pkt) {
                 const Tick arrival = pending.arrival;
                 pendingReads_.erase(readIt);
                 const Tick ready = bankedReadyTick(read->addr());
-                if (read->reqId() != 0) {
-                    if (SimObserver* obs = threadObserver()) {
-                        obs->requestSpan(read->reqId(), ReqStage::kSpmFill, arrival, ready);
-                    }
+                if (RequestSink* sink = sim_.requestSink(); sink && read->reqId() != 0) {
+                    sink->onSpan(read->reqId(), ReqStage::kSpmFill, arrival, ready);
                 }
                 store_.access(*read);
                 read->makeResponse();

@@ -142,10 +142,8 @@ void Xbar::deliverReq(unsigned dstDown) {
     if (wantsRoute) respRoute_[id] = RouteInfo{layer.srcIdx, layer.acceptTick};
     // Ticks between layer acceptance and the downstream peer taking the
     // packet are crossbar queueing, blamed on the packet's request.
-    if (reqId != 0 && curTick() > acceptTick) {
-        if (SimObserver* obs = threadObserver()) {
-            obs->requestSpan(reqId, ReqStage::kXbarQueue, acceptTick, curTick());
-        }
+    if (RequestSink* sink = sim_.requestSink(); sink && reqId != 0 && curTick() > acceptTick) {
+        sink->onSpan(reqId, ReqStage::kXbarQueue, acceptTick, curTick());
     }
 
     if (layer.freeTick <= curTick()) {
@@ -198,10 +196,8 @@ void Xbar::deliverResp(unsigned dstUp) {
         layer.waitingPeer = true;  // Peer will recvRespRetry -> deliverResp again.
         return;
     }
-    if (reqId != 0 && curTick() > acceptTick) {
-        if (SimObserver* obs = threadObserver()) {
-            obs->requestSpan(reqId, ReqStage::kXbarQueue, acceptTick, curTick());
-        }
+    if (RequestSink* sink = sim_.requestSink(); sink && reqId != 0 && curTick() > acceptTick) {
+        sink->onSpan(reqId, ReqStage::kXbarQueue, acceptTick, curTick());
     }
 
     if (layer.freeTick <= curTick()) {

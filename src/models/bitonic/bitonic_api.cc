@@ -22,25 +22,13 @@
 #include <vector>
 
 #include "bridge/rtl_api.h"
+#include "models/bitonic/bitonic_config.hh"
 #include "obs/trigger.hh"
 #include "rtl/netlist.hh"
 #include "rtl/vcd.hh"
 
 namespace g5r::models {
 namespace {
-
-unsigned parseN(const char* config) {
-    // config: "n=<power-of-two>", default 16.
-    if (config != nullptr) {
-        const std::string s{config};
-        if (const auto pos = s.find("n="); pos != std::string::npos) {
-            const unsigned n = static_cast<unsigned>(std::strtoul(s.c_str() + pos + 2,
-                                                                  nullptr, 10));
-            if (n >= 2 && (n & (n - 1)) == 0 && n <= 64) return n;
-        }
-    }
-    return 16;
-}
 
 rtl::EvalMode parseEvalMode(const char* config) {
     // config token "eval=levelized|dirty" wins; the GEM5RTL_NETLIST_EVAL
@@ -173,7 +161,8 @@ private:
 
 void* bitonicCreate(const char* config) {
     try {
-        return new BitonicWrapper(parseN(config), parseEvalMode(config));
+        return new BitonicWrapper(bitonicElements(config != nullptr ? config : ""),
+                                  parseEvalMode(config));
     } catch (const std::exception&) {
         return nullptr;
     }

@@ -15,11 +15,6 @@ namespace g5r::obs {
 
 namespace {
 
-/// Blame precedence, mirrored from the computeBlame sweep (reqtrace.cc):
-/// dmaStage > drain > spmFill > dramService > xbarQueue > hostLoad >
-/// rtlCompute.
-constexpr std::array<int, kNumReqStages> kStageRank = {1, 6, 4, 2, 3, 0, 5};
-
 std::string formatLine(const char* fmt, ...) {
     char buf[256];
     va_list ap;
@@ -27,51 +22,6 @@ std::string formatLine(const char* fmt, ...) {
     std::vsnprintf(buf, sizeof(buf), fmt, ap);
     va_end(ap);
     return buf;
-}
-
-/// parent -> child slot adjacency + root slots, as computeBlame builds them.
-struct Tree {
-    std::vector<std::vector<std::size_t>> children;
-    std::vector<std::size_t> roots;
-};
-
-Tree buildTree(const std::vector<ReqRecord>& records) {
-    Tree tree;
-    tree.children.resize(records.size());
-    std::vector<std::size_t> slotOf;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const ReqId id = records[i].id;
-        if (id >= slotOf.size()) slotOf.resize(id + 1, 0);
-        slotOf[id] = i + 1;
-    }
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const ReqId parent = records[i].parent;
-        if (parent != 0 && parent < slotOf.size() && slotOf[parent] != 0) {
-            tree.children[slotOf[parent] - 1].push_back(i);
-        } else {
-            tree.roots.push_back(i);
-        }
-    }
-    return tree;
-}
-
-/// All spans of @p rootSlot's subtree, clamped to [begin, end).
-std::vector<ReqSpan> subtreeSpans(const std::vector<ReqRecord>& records,
-                                  const Tree& tree, std::size_t rootSlot, Tick begin,
-                                  Tick end) {
-    std::vector<ReqSpan> spans;
-    std::vector<std::size_t> stack{rootSlot};
-    while (!stack.empty()) {
-        const std::size_t idx = stack.back();
-        stack.pop_back();
-        for (const ReqSpan& span : records[idx].spans) {
-            const Tick b = std::max(span.begin, begin);
-            const Tick e = std::min(span.end, end);
-            if (e > b) spans.push_back(ReqSpan{span.stage, b, e});
-        }
-        for (const std::size_t child : tree.children[idx]) stack.push_back(child);
-    }
-    return spans;
 }
 
 }  // namespace
@@ -111,27 +61,23 @@ std::string renderBlameTable(const BlameSummary& blame) {
                           static_cast<unsigned long long>(ticks), share, p50, maxShare);
     };
 
+    // Each root's share of its own window, for roots with a non-empty one.
+    const auto rootShares = [&blame](auto ticksOf) {
+        std::vector<double> shares;
+        for (const RequestBlame& r : blame.roots) {
+            if (r.total() > 0) {
+                shares.push_back(100.0 * static_cast<double>(ticksOf(r)) /
+                                 static_cast<double>(r.total()));
+            }
+        }
+        return shares;
+    };
     for (unsigned s = 0; s < kNumReqStages; ++s) {
-        std::vector<double> shares;
-        for (const RequestBlame& r : blame.roots) {
-            if (r.total() > 0) {
-                shares.push_back(100.0 * static_cast<double>(r.stageTicks[s]) /
-                                 static_cast<double>(r.total()));
-            }
-        }
         row(reqStageName(static_cast<ReqStage>(s)), blame.stageTicks[s],
-            std::move(shares));
+            rootShares([s](const RequestBlame& r) { return r.stageTicks[s]; }));
     }
-    {
-        std::vector<double> shares;
-        for (const RequestBlame& r : blame.roots) {
-            if (r.total() > 0) {
-                shares.push_back(100.0 * static_cast<double>(r.unattributed) /
-                                 static_cast<double>(r.total()));
-            }
-        }
-        row("unattributed", blame.unattributed, std::move(shares));
-    }
+    row("unattributed", blame.unattributed,
+        rootShares([](const RequestBlame& r) { return r.unattributed; }));
     out += formatLine("%-13s %16llu %7.2f%%\n", "total",
                       static_cast<unsigned long long>(blame.totalTicks),
                       blame.totalTicks > 0 ? shareSum : 0.0);
@@ -141,40 +87,36 @@ std::string renderBlameTable(const BlameSummary& blame) {
 std::string renderWaterfall(const std::vector<ReqRecord>& records,
                             const BlameSummary& blame, std::size_t maxRequests,
                             std::size_t width) {
-    const Tree tree = buildTree(records);
+    const RequestTree tree(records);
     if (width == 0) width = 64;
 
-    // blame.roots and tree.roots come from the same traversal over the same
-    // record order, so they line up index-for-index.
     std::string out;
     out += "per-request waterfall (one column = 1/" + std::to_string(width) +
            " of the request's window; legend: h=hostLoad d=dmaStage f=spmFill "
            "x=xbarQueue m=dramService r=rtlCompute n=drain .=unattributed)\n";
     const std::size_t count =
         maxRequests == 0 ? blame.roots.size() : std::min(maxRequests, blame.roots.size());
-    for (std::size_t r = 0; r < count && r < tree.roots.size(); ++r) {
+    for (std::size_t r = 0; r < count; ++r) {
         const RequestBlame& root = blame.roots[r];
         std::string strip(width, '.');
         if (root.total() > 0) {
-            const auto spans =
-                subtreeSpans(records, tree, tree.roots[r], root.begin, root.end);
+            std::vector<ReqSpan> spans;
+            tree.forEachClampedSpan(root.record, root.begin, root.end,
+                                    [&spans](ReqSpan span) { spans.push_back(span); });
             const double ticksPerCol =
                 static_cast<double>(root.total()) / static_cast<double>(width);
             for (std::size_t c = 0; c < width; ++c) {
                 const Tick mid = root.begin +
                                  static_cast<Tick>((static_cast<double>(c) + 0.5) *
                                                    ticksPerCol);
-                int best = -1;
+                const ReqSpan* best = nullptr;
                 for (const ReqSpan& span : spans) {
-                    if (span.begin <= mid && mid < span.end) {
-                        const auto s = static_cast<unsigned>(span.stage);
-                        if (best < 0 ||
-                            kStageRank[s] > kStageRank[static_cast<unsigned>(best)]) {
-                            best = static_cast<int>(s);
-                        }
+                    if (span.begin <= mid && mid < span.end &&
+                        (best == nullptr || blameRank(span.stage) > blameRank(best->stage))) {
+                        best = &span;
                     }
                 }
-                if (best >= 0) strip[c] = reqStageGlyph(static_cast<ReqStage>(best));
+                if (best != nullptr) strip[c] = reqStageGlyph(best->stage);
             }
         }
         out += formatLine("#%-5llu %-12s |%s| %llu ticks\n",

@@ -34,6 +34,7 @@ std::string renderBlameTable(const BlameSummary& blame);
 /// Per-request waterfall over the first @p maxRequests roots (0 = all):
 /// a @p width-column strip across each root's [begin, end] window, every
 /// column labelled with the highest-precedence stage active at its midpoint.
+/// @p blame must be computeBlame(@p records).
 std::string renderWaterfall(const std::vector<ReqRecord>& records,
                             const BlameSummary& blame, std::size_t maxRequests = 0,
                             std::size_t width = 64);

@@ -1,7 +1,7 @@
 // Configuration for the observability subsystem (src/obs/).
 //
 // Observability is off by default and costs nothing when off (see
-// sim/observer.hh for the cost argument). It is switched on either
+// sim/observer.hh and sim/request_sink.hh for the cost argument). It is switched on either
 // programmatically — SocConfig carries an ObsOptions — or from the
 // environment:
 //

@@ -109,6 +109,41 @@ void ReqTraceSession::finish(Tick finalTick) {
 
 // --------------------------------------------------------------- analysis --
 
+RequestTree::RequestTree(const std::vector<ReqRecord>& recs)
+    : records(recs), children(recs.size()), owningRoot(recs.size()) {
+    // Record IDs can be sparse, so the tree is indexed by position.
+    std::vector<std::size_t> slotOf;  // id -> index + 1
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const ReqId id = records[i].id;
+        if (id >= slotOf.size()) slotOf.resize(id + 1, 0);
+        slotOf[id] = i + 1;
+    }
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const ReqId parent = records[i].parent;
+        if (parent != 0 && parent < slotOf.size() && slotOf[parent] != 0) {
+            children[slotOf[parent] - 1].push_back(i);
+        } else {
+            roots.push_back(i);
+        }
+        owningRoot[i] = i;
+    }
+    for (const std::size_t root : roots) {
+        for (const std::size_t idx : subtree(root)) owningRoot[idx] = root;
+    }
+}
+
+std::vector<std::size_t> RequestTree::subtree(std::size_t root) const {
+    std::vector<std::size_t> out;
+    std::vector<std::size_t> stack{root};
+    while (!stack.empty()) {
+        const std::size_t idx = stack.back();
+        stack.pop_back();
+        out.push_back(idx);
+        for (const std::size_t child : children[idx]) stack.push_back(child);
+    }
+    return out;
+}
+
 namespace {
 
 /// Blame precedence: higher rank wins where spans overlap. Ownership first:
@@ -135,67 +170,39 @@ struct SweepEvent {
 
 }  // namespace
 
+int blameRank(ReqStage stage) { return kStageRank[static_cast<unsigned>(stage)]; }
+
 BlameSummary computeBlame(const std::vector<ReqRecord>& records) {
     BlameSummary summary;
+    const RequestTree tree(records);
 
-    // parent -> child record indices. Record IDs can be sparse from the
-    // session's point of view, so index by position.
-    std::vector<std::vector<std::size_t>> children(records.size());
-    std::vector<std::size_t> slotOf;  // id -> index + 1
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const ReqId id = records[i].id;
-        if (id >= slotOf.size()) slotOf.resize(id + 1, 0);
-        slotOf[id] = i + 1;
-    }
-    std::vector<std::size_t> roots;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const ReqId parent = records[i].parent;
-        if (parent != 0 && parent < slotOf.size() && slotOf[parent] != 0) {
-            children[slotOf[parent] - 1].push_back(i);
-        } else {
-            roots.push_back(i);
-        }
-    }
-
-    for (const std::size_t rootIdx : roots) {
+    for (const std::size_t rootIdx : tree.roots) {
         const ReqRecord& root = records[rootIdx];
         RequestBlame blame;
+        blame.record = rootIdx;
         blame.id = root.id;
         blame.kind = root.kind;
         blame.begin = root.beginTick;
 
-        // Collect the subtree's spans and the effective end: the explicit
-        // end if every piece of work finished before it, else the last
-        // subtree activity (a run cut short mid-request still attributes
-        // the ticks it simulated).
-        std::vector<SweepEvent> events;
+        // The effective end: the explicit end if every piece of work
+        // finished before it, else the last subtree activity (a run cut
+        // short mid-request still attributes the ticks it simulated).
         Tick effectiveEnd = root.ended ? root.endTick : root.beginTick;
-        std::vector<std::size_t> stack{rootIdx};
-        while (!stack.empty()) {
-            const std::size_t idx = stack.back();
-            stack.pop_back();
+        for (const std::size_t idx : tree.subtree(rootIdx)) {
             const ReqRecord& rec = records[idx];
             if (rec.ended && rec.endTick > effectiveEnd) effectiveEnd = rec.endTick;
             for (const ReqSpan& span : rec.spans) {
                 if (span.end > effectiveEnd) effectiveEnd = span.end;
             }
-            for (const std::size_t child : children[idx]) stack.push_back(child);
-        }
-        stack.push_back(rootIdx);
-        while (!stack.empty()) {
-            const std::size_t idx = stack.back();
-            stack.pop_back();
-            for (const ReqSpan& span : records[idx].spans) {
-                const Tick b = std::max(span.begin, blame.begin);
-                const Tick e = std::min(span.end, effectiveEnd);
-                if (e <= b) continue;
-                const auto stage = static_cast<unsigned>(span.stage);
-                events.push_back(SweepEvent{b, stage, +1});
-                events.push_back(SweepEvent{e, stage, -1});
-            }
-            for (const std::size_t child : children[idx]) stack.push_back(child);
         }
         blame.end = effectiveEnd;
+
+        std::vector<SweepEvent> events;
+        tree.forEachClampedSpan(rootIdx, blame.begin, effectiveEnd, [&events](ReqSpan span) {
+            const auto stage = static_cast<unsigned>(span.stage);
+            events.push_back(SweepEvent{span.begin, stage, +1});
+            events.push_back(SweepEvent{span.end, stage, -1});
+        });
 
         // Sweep line over [begin, effectiveEnd]: within each elementary
         // interval the highest-ranked open stage takes the blame; with no

@@ -2,12 +2,12 @@
 //
 // Components that own a logical unit of work (an NVDLA job, a DMA
 // descriptor, a PMU script) allocate a ReqId from their Simulation, report
-// requestBegin/requestEnd through the SimObserver channel, and tag the
-// packets they build with the ID. Components the work flows *through* (SPM
-// fills, crossbar layers, DRAM channels) report stage spans against
-// whatever ID the packet carries. The session collects the resulting span
-// trees — all in simulated ticks — and serializes them to a .reqtrace.jsonl
-// sidecar.
+// onBegin/onEnd to the Simulation's RequestSink (sim/request_sink.hh), and
+// tag the packets they build with the ID. Components the work flows
+// *through* (SPM fills, crossbar layers, DRAM channels) report stage spans
+// against whatever ID the packet carries. The session is that sink: it
+// collects the resulting span trees — all in simulated ticks — and
+// serializes them to a .reqtrace.jsonl sidecar.
 //
 // Format (one JSON document per line):
 //
@@ -31,16 +31,20 @@
 // (dmaStage > drain > spmFill > dramService > xbarQueue > hostLoad >
 // rtlCompute — work owner first, then deepest shared memory resource), and
 // uncovered ticks land in an "unattributed" bucket, so per-stage shares sum
-// to exactly 100% of end-to-end ticks by construction.
+// to exactly 100% of end-to-end ticks by construction. The request tree,
+// its clamped subtree-span walk and the precedence are defined once, here;
+// g5r-critpath's waterfall and ObsSession's Perfetto request tracks reuse
+// them.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "sim/observer.hh"
+#include "sim/request_sink.hh"
 #include "sim/ticks.hh"
 
 namespace g5r::obs {
@@ -58,12 +62,12 @@ struct ReqRecord {
     ReqId parent = 0;          ///< 0 = root.
     std::string kind;          ///< "nvdlaJob", "dmaPrefetch", ...
     Tick beginTick = 0;
-    Tick endTick = 0;          ///< 0 until requestEnd (see header comment).
+    Tick endTick = 0;          ///< 0 until onEnd (see header comment).
     bool ended = false;
     std::vector<ReqSpan> spans;
 };
 
-class ReqTraceSession {
+class ReqTraceSession final : public RequestSink {
 public:
     /// Sidecar format version, written into the header line.
     static constexpr int kSchema = 1;
@@ -73,7 +77,7 @@ public:
     /// the DSE harness uses this to compute stage blame without sidecars.
     /// An unopenable path degrades to ok()==false; records are still kept.
     ReqTraceSession(std::string path, std::string runLabel);
-    ~ReqTraceSession();
+    ~ReqTraceSession() override;
     ReqTraceSession(const ReqTraceSession&) = delete;
     ReqTraceSession& operator=(const ReqTraceSession&) = delete;
 
@@ -81,10 +85,10 @@ public:
     const std::string& path() const { return path_; }
     std::uint64_t requestsRecorded() const { return records_.size(); }
 
-    /// Observer-channel entry points (forwarded by ObsSession).
-    void onBegin(ReqId id, ReqId parent, const char* kind, Tick when);
-    void onEnd(ReqId id, Tick when);
-    void onSpan(ReqId id, ReqStage stage, Tick begin, Tick end);
+    // --- RequestSink ---------------------------------------------------------
+    void onBegin(ReqId id, ReqId parent, const char* kind, Tick when) override;
+    void onEnd(ReqId id, Tick when) override;
+    void onSpan(ReqId id, ReqStage stage, Tick begin, Tick end) override;
 
     /// Sort records canonically and (in file mode) write the sidecar.
     /// Idempotent; also run by the destructor.
@@ -107,8 +111,41 @@ private:
 
 // --------------------------------------------------------------- analysis --
 
+/// The request forest of a record list, by record index. A record whose
+/// parent is 0 or absent from the list is a root.
+struct RequestTree {
+    explicit RequestTree(const std::vector<ReqRecord>& records);
+    explicit RequestTree(std::vector<ReqRecord>&&) = delete;  ///< Holds a reference.
+
+    /// Record indices of @p root's subtree, @p root first.
+    std::vector<std::size_t> subtree(std::size_t root) const;
+
+    /// Call @p fn with every span of @p root's subtree, clamped to
+    /// [begin, end); spans that clamp to nothing are skipped.
+    template <typename Fn>
+    void forEachClampedSpan(std::size_t root, Tick begin, Tick end, Fn&& fn) const {
+        for (const std::size_t idx : subtree(root)) {
+            for (const ReqSpan& span : records[idx].spans) {
+                const Tick b = std::max(span.begin, begin);
+                const Tick e = std::min(span.end, end);
+                if (e > b) fn(ReqSpan{span.stage, b, e});
+            }
+        }
+    }
+
+    const std::vector<ReqRecord>& records;
+    std::vector<std::vector<std::size_t>> children;  ///< Per record.
+    std::vector<std::size_t> roots;                  ///< In record order.
+    std::vector<std::size_t> owningRoot;  ///< Per record: its tree's root.
+};
+
+/// Blame precedence of @p stage: where spans overlap, the stage with the
+/// higher rank takes the tick (see the header comment for the order).
+int blameRank(ReqStage stage);
+
 /// Stage attribution of one root request's end-to-end window.
 struct RequestBlame {
+    std::size_t record = 0;  ///< Index of the root's record in the analysed list.
     ReqId id = 0;
     std::string kind;
     Tick begin = 0;

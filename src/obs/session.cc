@@ -108,9 +108,6 @@ ObsSession::ObsSession(Simulation& sim, const ObsOptions& opts, std::string_view
         }
         reqtrace_ = std::make_unique<ReqTraceSession>(std::move(path), std::string{runName});
     }
-    reqtraceOnly_ = reqtrace_ != nullptr && trace_ == nullptr && profiler_ == nullptr &&
-                    recorder_ == nullptr && metrics_ == nullptr;
-
     // Slot 0 catches ownerless events; object slots are handed out lazily
     // by slotFor().
     if (profiler_) profiler_->addSlot("(unattributed)");
@@ -120,12 +117,15 @@ ObsSession::ObsSession(Simulation& sim, const ObsOptions& opts, std::string_view
     }
     if (recorder_) recorder_->noteObjectName(0, "(unattributed)");
     nextCounterTick_ = sim.curTick();
-    sim.setObserver(this);
+    if (reqtrace_) sim.setRequestSink(reqtrace_.get());
+    // Only the other four sinks consume dispatches and packets.
+    if (trace_ || profiler_ || recorder_ || metrics_) sim.setObserver(this);
 }
 
 ObsSession::~ObsSession() {
     finish();
     if (sim_.observer() == this) sim_.setObserver(nullptr);
+    if (sim_.requestSink() == reqtrace_.get()) sim_.setRequestSink(nullptr);
 }
 
 void ObsSession::addCounter(const stats::Stat& stat) { counters_.push_back(&stat); }
@@ -160,17 +160,9 @@ void ObsSession::emitRequestSpans() {
     trace_->threadName(kSummaryTid, "req:requests");
 
     const std::vector<ReqRecord>& records = reqtrace_->data();
-    // id -> root id, walking parent chains (records are id-sorted, parents
-    // precede children, so one pass suffices).
-    std::vector<ReqId> rootOf;
-    for (const ReqRecord& rec : records) {
-        if (rec.id >= rootOf.size()) rootOf.resize(rec.id + 1, 0);
-        rootOf[rec.id] = (rec.parent != 0 && rec.parent < rootOf.size() &&
-                          rootOf[rec.parent] != 0)
-                             ? rootOf[rec.parent]
-                             : rec.id;
-    }
-    for (const ReqRecord& rec : records) {
+    const RequestTree tree(records);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const ReqRecord& rec = records[i];
         Tick end = rec.ended ? rec.endTick : rec.beginTick;
         for (const ReqSpan& span : rec.spans) end = std::max(end, span.end);
         const double beginUs = static_cast<double>(rec.beginTick) / kTicksPerUs;
@@ -178,8 +170,9 @@ void ObsSession::emitRequestSpans() {
                               "request", beginUs,
                               static_cast<double>(end - rec.beginTick) / kTicksPerUs,
                               rec.beginTick);
-        const std::uint64_t flow = kFlowBase | rootOf[rec.id];
-        if (rec.parent == 0) {
+        const std::size_t root = tree.owningRoot[i];
+        const std::uint64_t flow = kFlowBase | records[root].id;
+        if (root == i) {
             trace_->flowBegin(flow, kSummaryTid, beginUs);
             trace_->flowEnd(flow, kSummaryTid, static_cast<double>(end) / kTicksPerUs);
         } else {
@@ -220,10 +213,6 @@ void ObsSession::runEnd() {
 
 void ObsSession::dispatchBegin(const Event& ev, Tick when) {
     curTick_ = when;
-    // Request tracing alone needs none of the dispatch machinery: spans
-    // arrive through the component-driven request hooks with their own
-    // ticks. Returning here is what makes always-on tracing cheap.
-    if (reqtraceOnly_) return;
     curSlot_ = ev.owner() != nullptr ? slotFor(*ev.owner()) : 0;
     // Copied, not referenced: a handler may destroy its own event before
     // dispatchEnd() emits the span.
@@ -283,18 +272,6 @@ void ObsSession::packetResponded(std::uint64_t id) {
 void ObsSession::packetCompleted(std::uint64_t id) {
     if (trace_) trace_->flowEnd(id, curSlot_, relUs(Clock::now()));
     if (recorder_) recorder_->recordPacket(curTick_, curSlot_, 'C', id, 0, 0, false);
-}
-
-void ObsSession::requestBegin(ReqId id, ReqId parent, const char* kind, Tick when) {
-    if (reqtrace_) reqtrace_->onBegin(id, parent, kind, when);
-}
-
-void ObsSession::requestEnd(ReqId id, Tick when) {
-    if (reqtrace_) reqtrace_->onEnd(id, when);
-}
-
-void ObsSession::requestSpan(ReqId id, ReqStage stage, Tick begin, Tick end) {
-    if (reqtrace_) reqtrace_->onSpan(id, stage, begin, end);
 }
 
 }  // namespace g5r::obs

@@ -1,14 +1,20 @@
-// ObsSession: the production SimObserver.
+// ObsSession: one run's observability sinks, and the production SimObserver.
 //
 // One session per Simulation (and per thread — the one-thread-per-run model
-// of src/exp/ carries over). It fans the observer callbacks out to up to
-// five sinks, each individually optional:
+// of src/exp/ carries over). It owns up to five sinks, each individually
+// optional:
 //
 //   * TraceSession    — Perfetto trace: dispatch spans, counters, packet flows.
 //   * HostProfiler    — per-SimObject wall time in rtl/memory/core/... buckets.
 //   * Recorder        — .g5rec interval digests for g5r-diff, panic() black box.
 //   * MetricsSession  — .metrics.jsonl stat timeline for g5r-stats.
 //   * ReqTraceSession — request span trees for g5r-critpath stage blame.
+//
+// The first four are fed by the dispatch and packet hooks, so the session
+// installs itself as the simulation's observer only when one of them is on.
+// The request collector is installed as the simulation's RequestSink and
+// receives spans straight from the components; a request-tracing-only
+// session (the DSE harness's always-on stage blame) installs no observer.
 //
 // Each dispatch is charged to the SimObject its Event names as owner
 // (Event::owner()); ownerless events land in slot 0, "(unattributed)".
@@ -64,10 +70,10 @@ stats::HistogramData mergedPortLatencyHistogram(const Xbar& xbar);
 
 class ObsSession final : public SimObserver {
 public:
-    /// Build a session for @p sim per @p opts and attach it as the
-    /// simulation's observer. Returns nullptr when nothing is enabled —
-    /// callers hold a null unique_ptr and the simulation keeps its fast
-    /// path. @p runName names the trace file ("" = generated).
+    /// Build a session for @p sim per @p opts and attach its sinks to the
+    /// simulation (see the header comment). Returns nullptr when nothing is
+    /// enabled — callers hold a null unique_ptr and the simulation keeps its
+    /// fast path. @p runName names the trace file ("" = generated).
     static std::unique_ptr<ObsSession> create(Simulation& sim, const ObsOptions& opts,
                                               std::string_view runName);
 
@@ -101,9 +107,6 @@ public:
     void packetForwarded(std::uint64_t id) override;
     void packetResponded(std::uint64_t id) override;
     void packetCompleted(std::uint64_t id) override;
-    void requestBegin(ReqId id, ReqId parent, const char* kind, Tick when) override;
-    void requestEnd(ReqId id, Tick when) override;
-    void requestSpan(ReqId id, ReqStage stage, Tick begin, Tick end) override;
 
 private:
     using Clock = std::chrono::steady_clock;
@@ -127,13 +130,6 @@ private:
     std::unique_ptr<MetricsSession> metrics_;
     std::unique_ptr<ReqTraceSession> reqtrace_;
     std::shared_ptr<const ProfileReport> report_;
-
-    /// True when request tracing is the *only* enabled sink: dispatchBegin
-    /// then skips slot lookup, profiling, and sampling entirely —
-    /// request hooks are component-driven and never consult the dispatch
-    /// state. The always-on DSE tracing still costs 22-28% wall time on
-    /// perfbench's nvdla_staged workload; obs.reqtrace_frac tracks it.
-    bool reqtraceOnly_ = false;
 
     /// Slot 0 is "(unattributed)"; object slots are allocated lazily the
     /// first time an object's event dispatches, so SimObjects created

@@ -6,19 +6,6 @@ namespace detail {
 thread_local SimObserver* tlsSimObserver = nullptr;
 }  // namespace detail
 
-const char* reqStageName(ReqStage stage) {
-    switch (stage) {
-    case ReqStage::kHostLoad: return "hostLoad";
-    case ReqStage::kDmaStage: return "dmaStage";
-    case ReqStage::kSpmFill: return "spmFill";
-    case ReqStage::kXbarQueue: return "xbarQueue";
-    case ReqStage::kDramService: return "dramService";
-    case ReqStage::kRtlCompute: return "rtlCompute";
-    case ReqStage::kDrain: return "drain";
-    }
-    return "?";
-}
-
 ObserverScope::ObserverScope(SimObserver* observer) : prev_(detail::tlsSimObserver) {
     detail::tlsSimObserver = observer;
 }

@@ -3,8 +3,12 @@
 // A SimObserver sees every event-queue dispatch (wrapped around
 // Event::process()) and the lifecycle of every timing packet (reported from
 // the port layer). The production implementation is obs::ObsSession
-// (src/obs/), which fans the callbacks out to the Perfetto trace writer and
-// the host-time profiler; the simulation core knows only this interface.
+// (src/obs/), which fans the callbacks out to the Perfetto trace writer,
+// the host-time profiler, the flight recorder and the metrics timeline; the
+// simulation core knows only this interface. Request spans do not pass
+// through here: components report them to the Simulation's RequestSink
+// (sim/request_sink.hh), so a run that only traces requests installs no
+// observer at all.
 //
 // Cost when off: the event loop pays one branch on a null pointer per
 // dispatch, and the port layer one thread-local load + branch per hop —
@@ -25,31 +29,6 @@
 namespace g5r {
 
 class Event;
-
-/// Identifies one logical unit of work flowing through the SoC (an NVDLA
-/// job, a DMA descriptor, a PMU script, ...). 0 means "untagged"; real IDs
-/// come from Simulation::allocRequestId() and are strictly positive, so a
-/// run's ID stream is per-Simulation and deterministic.
-using ReqId = std::uint64_t;
-
-/// Stage taxonomy for request span attribution. Each span a component
-/// reports is labelled with the stage of the pipeline the request spent
-/// those ticks in; the critical-path analysis (src/obs/reqtrace.hh) blames
-/// overlapping spans by a fixed precedence. Keep the order stable: the
-/// numeric values are serialized into .reqtrace.jsonl sidecars.
-enum class ReqStage : std::uint8_t {
-    kHostLoad,     ///< Host-side configuration (CSB register writes, PMU readout).
-    kDmaStage,     ///< DMA engine staging data into the scratchpad.
-    kSpmFill,      ///< SPM miss fill in flight (MSHR occupancy).
-    kXbarQueue,    ///< Queued in a crossbar layer waiting for the peer.
-    kDramService,  ///< In a DRAM channel queue / being serviced.
-    kRtlCompute,   ///< RTL model computing (host poll window).
-    kDrain,        ///< Result draining back to main memory.
-};
-
-inline constexpr unsigned kNumReqStages = 7;
-
-const char* reqStageName(ReqStage stage);
 
 class SimObserver {
 public:
@@ -79,20 +58,6 @@ public:
     virtual void packetForwarded(std::uint64_t id) { (void)id; }
     virtual void packetResponded(std::uint64_t id) { (void)id; }
     virtual void packetCompleted(std::uint64_t id) { (void)id; }
-
-    /// Request lifecycle, reported by the components that own a unit of
-    /// work (soc/NvdlaHost, mem/DmaEngine, soc/PmuObserver, ...). A request
-    /// begins once, may reference a parent (0 = root), accumulates stage
-    /// spans in simulated ticks, and ends once. Components call these
-    /// unconditionally when tracing is on; the default implementations cost
-    /// nothing so observers that do not care need not override.
-    virtual void requestBegin(ReqId id, ReqId parent, const char* kind, Tick when) {
-        (void)id; (void)parent; (void)kind; (void)when;
-    }
-    virtual void requestEnd(ReqId id, Tick when) { (void)id; (void)when; }
-    virtual void requestSpan(ReqId id, ReqStage stage, Tick begin, Tick end) {
-        (void)id; (void)stage; (void)begin; (void)end;
-    }
 };
 
 namespace detail {

@@ -31,6 +31,12 @@ void Simulation::setObserver(SimObserver* observer) {
     queue_.setObserver(observer);
 }
 
+void Simulation::setRequestSink(RequestSink* sink) {
+    simAssert(sink == nullptr || requestSink_ == nullptr || sink == requestSink_,
+              "a different request sink is already attached to this Simulation");
+    requestSink_ = sink;
+}
+
 RunResult Simulation::run(Tick maxTick) {
     // All packets built while this simulation's events execute draw their
     // IDs from this instance, not a process-wide counter, so the stream is

@@ -9,6 +9,7 @@
 
 #include "sim/event.hh"
 #include "sim/event_queue.hh"
+#include "sim/request_sink.hh"
 #include "sim/ticks.hh"
 
 namespace g5r {
@@ -65,6 +66,12 @@ public:
     void setObserver(SimObserver* observer);
     SimObserver* observer() const { return observer_; }
 
+    /// Attach the request-span collector (obs::ReqTraceSession) — or
+    /// nullptr to detach. Components report request begin/end/spans here
+    /// directly; nullptr means request tracing is off.
+    void setRequestSink(RequestSink* sink);
+    RequestSink* requestSink() const { return requestSink_; }
+
     /// Look up a stat by fully-qualified name ("cpu0.committedInsts").
     const stats::Stat* findStat(std::string_view fullName) const;
 
@@ -75,8 +82,8 @@ public:
     /// packet-ID stream is per-Simulation and deterministic.
     std::uint64_t& packetIdCounter() { return packetIdCounter_; }
 
-    /// Allocate a request ID for causal tracing (sim/observer.hh). Always
-    /// counts — whether or not an observer is attached — so the ID stream a
+    /// Allocate a request ID for causal tracing (sim/request_sink.hh).
+    /// Always counts — whether or not a sink is attached — so the ID stream a
     /// given configuration produces is identical traced or untraced. IDs
     /// start at 1; 0 means "untagged".
     std::uint64_t allocRequestId() { return ++requestIdCounter_; }
@@ -86,6 +93,7 @@ private:
 
     EventQueue queue_;
     SimObserver* observer_ = nullptr;
+    RequestSink* requestSink_ = nullptr;
     std::vector<SimObject*> objects_;
     std::uint64_t packetIdCounter_ = 0;
     std::uint64_t requestIdCounter_ = 0;

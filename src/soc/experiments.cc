@@ -137,7 +137,9 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
     // itself. This is not free: perfbench/run.py tracks the cost as
     // obs.reqtrace_frac (forced tracing vs GEM5RTL_REQTRACE=0), measured at
     // 0.22-0.28 on its nvdla_staged workload, and the fig. 7 sweep runs ~25%
-    // slower at --jobs 1 (4-core x86 host, g++ 12).
+    // slower at --jobs 1 (4-core x86 host, g++ 12). The event loop runs with
+    // no observer installed; the cost is the span recording plus the
+    // post-run sort (ReqTraceSession::finish) and computeBlame.
     if (!socCfg.obs.reqtraceEnabled && std::getenv("GEM5RTL_REQTRACE") == nullptr) {
         socCfg.obs.reqtraceEnabled = true;
         socCfg.obs.reqtracePath = "-";

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "bridge/rtl_model.hh"
+#include "models/bitonic/bitonic_config.hh"
 
 #ifndef G5R_MODEL_DIR
 #define G5R_MODEL_DIR "./models"
@@ -35,8 +36,8 @@ inline std::string compiledNetlistModelPath(const std::string& shortName,
 
 /// Resolve the library for a model + config pair: the interpreted model by
 /// default, the netlistc-compiled one when the config carries eval=compiled
-/// (the element count follows the same "n=" token the interpreted wrapper
-/// parses — default 16, powers of two up to 64).
+/// (the element count is the one the interpreted wrapper reads from the
+/// same config, models/bitonic/bitonic_config.hh).
 inline std::string rtlModelPathForConfig(const std::string& shortName,
                                          const std::string& config) {
     const auto evalPos = config.find("eval=");
@@ -44,16 +45,7 @@ inline std::string rtlModelPathForConfig(const std::string& shortName,
         config.compare(evalPos + 5, 8, "compiled") != 0) {
         return rtlModelPath(shortName);
     }
-    unsigned n = 16;
-    if (const auto nPos = config.find("n="); nPos != std::string::npos &&
-        (nPos == 0 || config[nPos - 1] == ',')) {
-        const unsigned parsed = static_cast<unsigned>(
-            std::strtoul(config.c_str() + nPos + 2, nullptr, 10));
-        if (parsed >= 2 && (parsed & (parsed - 1)) == 0 && parsed <= 64) {
-            n = parsed;
-        }
-    }
-    return compiledNetlistModelPath(shortName, n);
+    return compiledNetlistModelPath(shortName, models::bitonicElements(config));
 }
 
 /// Load "pmu", "nvdla" or "bitonic" (or any model following the naming

@@ -40,8 +40,8 @@ void NvdlaHost::startup() {
     loaded_ = true;
     // The job begins here (even when gated on release()): the prefetch that
     // runs before release is part of this job's end-to-end window.
-    if (SimObserver* obs = threadObserver()) {
-        obs->requestBegin(requestId_, 0, "nvdlaJob", curTick());
+    if (RequestSink* sink = sim_.requestSink()) {
+        sink->onBegin(requestId_, 0, "nvdlaJob", curTick());
     }
     if (params_.waitForRelease && !released_) return;
     state_ = State::kWriteRegs;
@@ -72,8 +72,8 @@ void NvdlaHost::advance() {
             pollStartTick_ = curTick();
             // The configuration stream is done: [startTick_, now) is the
             // job's host-side programming (hostLoad) stage.
-            if (SimObserver* obs = threadObserver()) {
-                obs->requestSpan(requestId_, ReqStage::kHostLoad, startTick_, curTick());
+            if (RequestSink* sink = sim_.requestSink()) {
+                sink->onSpan(requestId_, ReqStage::kHostLoad, startTick_, curTick());
             }
             eventQueue().schedule(advanceEvent_,
                                   clockEdge(params_.pollIntervalCycles));
@@ -123,9 +123,8 @@ bool NvdlaHost::handleResp(PacketPtr& pkt) {
         if ((status & 2u) != 0) {  // Done bit.
             // The poll window is the job's compute stage: the accelerator
             // owned the work from the last config write to the done bit.
-            if (SimObserver* obs = threadObserver()) {
-                obs->requestSpan(requestId_, ReqStage::kRtlCompute, pollStartTick_,
-                                 curTick());
+            if (RequestSink* sink = sim_.requestSink()) {
+                sink->onSpan(requestId_, ReqStage::kRtlCompute, pollStartTick_, curTick());
             }
             state_ = State::kReadChecksum;
             eventQueue().reschedule(advanceEvent_, clockEdge(1));
@@ -141,8 +140,8 @@ bool NvdlaHost::handleResp(PacketPtr& pkt) {
         // Note: the dmaSpm path appends an ofmap drain after this; the drain
         // descriptor is a child of this job, so the blame window stretches
         // past this explicit end to cover it (effective-end rule).
-        if (SimObserver* obs = threadObserver()) {
-            obs->requestEnd(requestId_, curTick());
+        if (RequestSink* sink = sim_.requestSink()) {
+            sink->onEnd(requestId_, curTick());
         }
         if (doneCallback_) doneCallback_();
         break;

@@ -43,8 +43,8 @@ std::vector<PmuObserver::RegWrite> PmuObserver::fig5Config(std::uint64_t interva
 }
 
 void PmuObserver::startup() {
-    if (SimObserver* obs = threadObserver()) {
-        obs->requestBegin(scriptRequest_, 0, "pmuScript", curTick());
+    if (RequestSink* sink = sim_.requestSink()) {
+        sink->onBegin(scriptRequest_, 0, "pmuScript", curTick());
     }
     if (!configWrites_.empty()) {
         configuring_ = true;
@@ -71,8 +71,8 @@ void PmuObserver::startReadout() {
     // Each interrupt readout is its own child request (allocated whether or
     // not anyone listens, to keep the ID stream config-deterministic).
     readoutRequest_ = sim_.allocRequestId();
-    if (SimObserver* obs = threadObserver()) {
-        obs->requestBegin(readoutRequest_, scriptRequest_, "pmuReadout", curTick());
+    if (RequestSink* sink = sim_.requestSink()) {
+        sink->onBegin(readoutRequest_, scriptRequest_, "pmuReadout", curTick());
     }
     // Snapshot the simulator's own statistics at the interrupt instant —
     // the "gem5 statistics" curve of Fig. 5.
@@ -143,9 +143,9 @@ bool PmuObserver::handleResp(PacketPtr& pkt) {
     // The IRQ-clear write completed: the sample is done. The whole readout is
     // interrupt-handler work running on the host, so it bills as hostLoad.
     pkt.reset();
-    if (SimObserver* obs = threadObserver()) {
-        obs->requestSpan(readoutRequest_, ReqStage::kHostLoad, current_.irqTick, curTick());
-        obs->requestEnd(readoutRequest_, curTick());
+    if (RequestSink* sink = sim_.requestSink()) {
+        sink->onSpan(readoutRequest_, ReqStage::kHostLoad, current_.irqTick, curTick());
+        sink->onEnd(readoutRequest_, curTick());
     }
     samples_.push_back(current_);
     ++readouts_;

@@ -7,9 +7,9 @@
 #include <vector>
 
 #include "common/test_requester.hh"
-#include "sim/observer.hh"
 #include "mem/simple_mem.hh"
 #include "mem/spm.hh"
+#include "sim/request_sink.hh"
 
 namespace g5r {
 namespace {
@@ -118,18 +118,18 @@ TEST(Spm, LineCrossingMissFetchesEveryLineOnce) {
     EXPECT_EQ(h.spm.residentLines(), 2u);
 }
 
-/// Collects requestSpan callbacks so tests can assert on the causal-tracing
-/// spans the SPM emits (sim/observer.hh).
-struct SpanRecorder : SimObserver {
+/// Collects span reports so tests can assert on the causal-tracing spans
+/// the SPM emits (sim/request_sink.hh).
+struct SpanRecorder : RequestSink {
     struct Recorded {
         ReqId id;
         ReqStage stage;
         Tick begin;
         Tick end;
     };
-    void dispatchBegin(const Event&, Tick) override {}
-    void dispatchEnd(Tick) override {}
-    void requestSpan(ReqId id, ReqStage stage, Tick begin, Tick end) override {
+    void onBegin(ReqId, ReqId, const char*, Tick) override {}
+    void onEnd(ReqId, Tick) override {}
+    void onSpan(ReqId id, ReqStage stage, Tick begin, Tick end) override {
         spans.push_back(Recorded{id, stage, begin, end});
     }
     std::vector<Recorded> spans;
@@ -143,7 +143,7 @@ TEST(Spm, MshrJoinersEachGetTheirOwnFillSpan) {
     // request's trace shows the stall it actually experienced.
     Harness h;
     SpanRecorder rec;
-    h.sim.setObserver(&rec);
+    h.sim.setRequestSink(&rec);
     h.dramStore.store<std::uint64_t>(0x4000, 7);
     auto first = makeReadPacket(0x4000, 64);
     first->setReqId(11);
@@ -174,7 +174,7 @@ TEST(Spm, MshrJoinersEachGetTheirOwnFillSpan) {
 TEST(Spm, UntaggedMissesEmitNoSpans) {
     Harness h;
     SpanRecorder rec;
-    h.sim.setObserver(&rec);
+    h.sim.setRequestSink(&rec);
     h.req.issueAt(0, makeReadPacket(0x4000, 64));
     h.sim.run();
     ASSERT_EQ(h.req.numResponses(), 1u);

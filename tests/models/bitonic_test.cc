@@ -7,6 +7,7 @@
 
 #include "bridge/rtl_model.hh"
 #include "sim/rng.hh"
+#include "soc/model_loader.hh"
 
 extern "C" const G5rRtlModelApi* g5r_bitonic_model_api();
 
@@ -120,6 +121,31 @@ TEST(BitonicModel, RejectsBadConfig) {
     // Non-power-of-two falls back to the default size rather than failing.
     BitonicHarness b{"n=3"};
     EXPECT_EQ(b.readReg(0x210), 16u);
+}
+
+// The wrapper and the compiled-model loader read "n=" through one helper:
+// whole comma-separated tokens, invalid values falling back to 16. (n=64 is
+// valid but not in the table: its output window 0x100 + 8*64 covers 0x210,
+// so register reads cannot report the count at that size.)
+TEST(BitonicModel, WrapperAndLoaderAgreeOnElementCount) {
+    const struct {
+        const char* config;
+        unsigned n;
+    } cases[] = {
+        {"", 16},          {"n=8", 8},        {"n=2", 2},         {"n=32", 32},
+        {"gain=2,n=8", 8}, {"n=4,gain=2", 4}, {"n=8x", 16},       {"n=12", 16},
+        {"n=128", 16},     {"n=3", 16},       {"n=", 16},         {"xn=8", 16},
+        {"n=-8", 16},      {"n= 8", 16},      {"n=8,n=4", 8},     {"gain=2", 16},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(std::string{"config '"} + c.config + "'");
+        BitonicHarness b{c.config};
+        EXPECT_EQ(b.readReg(0x210), c.n);
+        const std::string compiled =
+            *c.config == '\0' ? "eval=compiled" : std::string{c.config} + ",eval=compiled";
+        EXPECT_EQ(rtlModelPathForConfig("bitonic", compiled),
+                  compiledNetlistModelPath("bitonic", c.n));
+    }
 }
 
 }  // namespace

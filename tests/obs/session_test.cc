@@ -1,5 +1,6 @@
 // ObsSession end-to-end: span/dispatch round trip, packet flows, profiling
-// attribution, parallel sessions, and the CI trace-validation entry point.
+// attribution, parallel sessions, request-tracing-only sessions, and the CI
+// trace-validation entry point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "exp/json.hh"
+#include "mem/dma.hh"
 #include "mem/simple_mem.hh"
 #include "obs/session.hh"
 #include "sim/simulation.hh"
@@ -327,6 +329,51 @@ TEST(ObsSession, DetachesFromSimulationOnDestruction) {
         std::remove(session->trace()->path().c_str());
     }
     EXPECT_EQ(sim.observer(), nullptr);
+}
+
+// Request tracing needs no dispatch or packet hooks: a session with only
+// the request collector attaches it as the simulation's RequestSink and
+// installs no observer, yet still collects the run's spans and blame.
+TEST(ObsSession, RequestTracingAloneInstallsNoObserver) {
+    Simulation sim;
+    BackingStore memStore;
+    BackingStore spmStore;
+    SimpleMemory::Params p;
+    p.range = AddrRange{0, 1ULL << 20};
+    p.latency = 10'000;
+    SimpleMemory mem{sim, "system.mem0", p, memStore};
+    SimpleMemory spm{sim, "system.spm0", p, spmStore};
+    DmaEngine dma{sim, "system.dma0", DmaEngine::Params{}};
+    dma.memPort().bind(mem.port());
+    dma.spmPort().bind(spm.port());
+
+    ObsOptions opts;
+    opts.reqtraceEnabled = true;
+    opts.reqtracePath = "-";  // In memory, as the DSE harness runs it.
+    auto session = ObsSession::create(sim, opts, "session_reqtrace_only");
+    ASSERT_NE(session, nullptr);
+    ASSERT_NE(session->reqtrace(), nullptr);
+    EXPECT_EQ(sim.observer(), nullptr);
+    EXPECT_EQ(sim.requestSink(), session->reqtrace());
+
+    dma.enqueue({0x1000, 0x1000, 1024, DmaEngine::Direction::kMemToSpm, {}});
+    sim.run();
+    session->finish();
+
+    const std::vector<ReqRecord>& records = session->reqtrace()->data();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].kind, "dmaPrefetch");
+    EXPECT_TRUE(records[0].ended);
+    ASSERT_EQ(records[0].spans.size(), 1u);
+    EXPECT_EQ(records[0].spans[0].stage, ReqStage::kDmaStage);
+
+    const BlameSummary blame = computeBlame(records);
+    ASSERT_EQ(blame.roots.size(), 1u);
+    EXPECT_GT(blame.totalTicks, 0u);
+    EXPECT_GT(blame.stageTicks[static_cast<std::size_t>(ReqStage::kDmaStage)], 0u);
+
+    session.reset();
+    EXPECT_EQ(sim.requestSink(), nullptr);
 }
 
 // CI entry point: after running examples/obs_profile with GEM5RTL_TRACE,

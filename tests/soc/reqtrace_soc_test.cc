@@ -1,14 +1,17 @@
 // Request tracing over the full SoC: sidecar content for real DSE runs,
 // byte-identity across runner job counts and across idle-tick gating, the
-// .g5rec identity contract with tracing enabled, the always-on in-memory
-// stage blame, and the metrics-timeline channels for the DMA latency
-// histogram and SPM counters.
+// .g5rec identity contract with tracing enabled, the Perfetto request
+// tracks, the always-on in-memory stage blame, and the metrics-timeline
+// channels for the DMA latency histogram and SPM counters.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
+#include "exp/json.hh"
 #include "exp/runner.hh"
 #include "obs/diff.hh"
 #include "obs/metrics.hh"
@@ -93,6 +96,78 @@ TEST(ReqTraceSoc, DmaSpmSidecarCarriesTheCausalTree) {
     EXPECT_GT(blame.stageTicks[static_cast<std::size_t>(ReqStage::kDmaStage)], 0u);
     EXPECT_GT(blame.stageTicks[static_cast<std::size_t>(ReqStage::kDrain)], 0u);
     EXPECT_GT(blame.stageTicks[static_cast<std::size_t>(ReqStage::kRtlCompute)], 0u);
+    std::remove(cfg.obs.reqtracePath.c_str());
+}
+
+TEST(ReqTraceSoc, PerfettoRequestTracksMirrorTheRecords) {
+    // Trace + request tracing together: the trace gains one "req:<stage>"
+    // track per stage plus "req:requests", one "request" complete event per
+    // record, and one flow per root request (begin + end) that steps
+    // through every descendant.
+    auto cfg = baseConfig(MemPath::kDmaSpm, 16);
+    cfg.obs.traceEnabled = true;
+    cfg.obs.traceDir = ::testing::TempDir();
+    cfg.obs.reqtraceEnabled = true;
+    cfg.obs.reqtracePath = ::testing::TempDir() + "/rt_tracks.reqtrace.jsonl";
+    const auto result = experiments::runNvdlaDse(cfg);
+    ASSERT_TRUE(result.completed && result.checksumsOk);
+    ASSERT_FALSE(result.tracePath.empty());
+
+    const obs::ReqTraceFile file = obs::readReqTrace(cfg.obs.reqtracePath);
+    std::map<ReqId, ReqId> parentOf;
+    for (const auto& rec : file.records) parentOf[rec.id] = rec.parent;
+    const auto rootOfId = [&parentOf](ReqId id) {
+        while (parentOf.at(id) != 0) id = parentOf.at(id);
+        return id;
+    };
+    std::map<std::int64_t, std::size_t> expectedSteps;
+    std::size_t roots = 0;
+    for (const auto& rec : file.records) {
+        if (rec.parent == 0) {
+            ++roots;
+            expectedSteps.emplace(rec.id, 0);
+        }
+    }
+    for (const auto& rec : file.records) {
+        if (rec.parent != 0) ++expectedSteps[static_cast<std::int64_t>(rootOfId(rec.id))];
+    }
+    ASSERT_GT(roots, 0u);
+    ASSERT_GT(file.records.size(), roots);
+
+    constexpr std::int64_t kRequestFlowBase = std::int64_t{1} << 62;
+    std::set<std::string> trackNames;
+    std::size_t requestEvents = 0;
+    std::map<std::int64_t, std::size_t> begins, ends, steps;
+    const exp::Json doc = exp::Json::parse(slurp(result.tracePath));
+    for (const auto& ev : doc.at("traceEvents").items()) {
+        const std::string ph = ev.at("ph").asString();
+        if (ph == "M" && ev.at("name").asString() == "thread_name" &&
+            ev.at("tid").asInt() >= 900) {
+            trackNames.insert(ev.at("args").at("name").asString());
+        } else if (ph == "X" && ev.at("cat").asString() == "request") {
+            ++requestEvents;
+        } else if ((ph == "s" || ph == "t" || ph == "f") &&
+                   ev.at("id").asInt() >= kRequestFlowBase) {
+            const std::int64_t root = ev.at("id").asInt() - kRequestFlowBase;
+            ++(ph == "s" ? begins : ph == "t" ? steps : ends)[root];
+        }
+    }
+
+    std::set<std::string> expectedNames{"req:requests"};
+    for (unsigned s = 0; s < kNumReqStages; ++s) {
+        expectedNames.insert(std::string{"req:"} + reqStageName(static_cast<ReqStage>(s)));
+    }
+    EXPECT_EQ(trackNames, expectedNames);
+    EXPECT_EQ(requestEvents, file.records.size());
+    EXPECT_EQ(begins.size(), roots);
+    EXPECT_EQ(ends.size(), roots);
+    for (const auto& [root, want] : expectedSteps) {
+        SCOPED_TRACE("root " + std::to_string(root));
+        EXPECT_EQ(begins[root], 1u);
+        EXPECT_EQ(ends[root], 1u);
+        EXPECT_EQ(steps[root], want);
+    }
+    std::remove(result.tracePath.c_str());
     std::remove(cfg.obs.reqtracePath.c_str());
 }
 
