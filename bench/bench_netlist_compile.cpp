@@ -1,5 +1,5 @@
 // Compiled netlist backend vs the interpreter — the speedup that justifies
-// the g5r-netlistc toolflow. For each bitonic size N the same per-tick
+// the g5r netlistc toolflow. For each bitonic size N the same per-tick
 // workload (all inputs re-randomized every evaluation, deterministic per-mode
 // seed) runs through the dirty-bit interpreter, the levelized interpreter,
 // and the netlistc-compiled shared library (dlopen'd raw-kernel face, i.e.

@@ -268,6 +268,7 @@ inline bool writeDseBenchJson(const DseResults& results, const std::string& benc
         if (!p.memLatency.empty()) {
             exp::Json lat = exp::Json::object();
             for (const auto& [suffix, s] : p.memLatency) {
+                if (s.count == 0) continue;  // Absent reads as no samples.
                 exp::Json one = exp::Json::object();
                 one["count"] = s.count;
                 one["minTicks"] = s.minTicks;

@@ -45,9 +45,9 @@ int main() {
     std::printf("\n");
     src += R"(
       li t1, 1
-      sd t1, 0x200(t0)     ; start
+      sd t1, 0x300(t0)     ; start
     poll:
-      ld t1, 0x208(t0)     ; status
+      ld t1, 0x308(t0)     ; status
       andi t1, t1, 2       ; done bit
       beq t1, x0, poll
     )";

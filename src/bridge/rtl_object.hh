@@ -69,6 +69,7 @@ public:
     RtlObject(Simulation& sim, std::string name, const RtlObjectParams& params,
               std::unique_ptr<RtlModel> model, HwEventBus* eventBus = nullptr,
               Tlb* tlb = nullptr);
+    HostLayer hostLayer() const override { return HostLayer::kRtl; }
     ~RtlObject() override;
 
     /// CPU-side (device/config) ports: the SoC initiates requests here.

@@ -56,6 +56,7 @@ class OooCore : public ClockedObject {
 public:
     OooCore(Simulation& sim, std::string name, const OooCoreParams& params,
             std::uint64_t entryPc);
+    HostLayer hostLayer() const override { return HostLayer::kCore; }
     ~OooCore() override;
 
     RequestPort& icachePort() { return iport_; }

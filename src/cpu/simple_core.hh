@@ -33,6 +33,7 @@ class SimpleCore : public ClockedObject {
 public:
     SimpleCore(Simulation& sim, std::string name, const SimpleCoreParams& params,
                std::uint64_t entryPc);
+    HostLayer hostLayer() const override { return HostLayer::kCore; }
 
     RequestPort& icachePort() { return iport_; }
     RequestPort& dcachePort() { return dport_; }

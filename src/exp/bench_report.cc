@@ -32,7 +32,7 @@ std::string hostName() {
 
 Json benchDocument(std::string_view benchName, unsigned jobs) {
     Json doc = Json::object();
-    doc["schema"] = 2;
+    doc["schema"] = 3;
     doc["bench"] = benchName;
     doc["jobs"] = jobs;
 

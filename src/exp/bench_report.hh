@@ -5,11 +5,12 @@
 // regress against. Files land in the current directory unless the
 // GEM5RTL_BENCH_DIR environment variable points elsewhere.
 //
-// Document shape (schema 2 — v2 added latency percentile fields to points:
+// Document shape (schema 3 — v2 added latency percentile fields to points:
 // per-suffix memLatency p50Ticks/p99Ticks and point-level memLatencyP50/P99
-// from the merged per-master histograms):
+// from the merged per-master histograms; v3 leaves out memLatency masters
+// with no samples):
 //   {
-//     "schema": 2,
+//     "schema": 3,
 //     "bench": "fig6",            // sweep name
 //     "jobs": 4,                  // worker threads used
 //     "host": { "threads": ..., "compiler": ..., "timestampUtc": ... },

@@ -1,8 +1,8 @@
-// Baseline suppression for g5r-lint: adopt an existing codebase without
+// Baseline suppression for g5r lint: adopt an existing codebase without
 // drowning in its pre-existing findings.
 //
 // A baseline file records a fingerprint of every finding present when it was
-// written (`g5r-lint --write-baseline lint.base <files>`). A later run with
+// written (`g5r lint --write-baseline lint.base <files>`). A later run with
 // `--baseline lint.base` drops findings whose fingerprint appears in the
 // file, so only *new* findings remain — the standard ratchet workflow.
 //

@@ -43,6 +43,7 @@ struct CacheParams {
 class Cache : public ClockedObject {
 public:
     Cache(Simulation& sim, std::string name, const CacheParams& params);
+    HostLayer hostLayer() const override { return HostLayer::kMemory; }
 
     ResponsePort& cpuSidePort() { return cpuSide_; }
     RequestPort& memSidePort() { return memSide_; }

@@ -49,6 +49,7 @@ public:
     };
 
     DmaEngine(Simulation& sim, std::string name, const Params& params);
+    HostLayer hostLayer() const override { return HostLayer::kMemory; }
 
     RequestPort& memPort() { return memPort_; }
     RequestPort& spmPort() { return spmPort_; }

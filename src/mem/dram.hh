@@ -59,6 +59,7 @@ class DramChannel : public ClockedObject {
 public:
     DramChannel(Simulation& sim, std::string name, const DramChannelParams& params,
                 MultiChannelDram& parent, unsigned channelId);
+    HostLayer hostLayer() const override { return HostLayer::kMemory; }
 
     /// Room for one more request of this kind?
     bool canAccept(const Packet& pkt) const;
@@ -144,6 +145,7 @@ public:
 
     MultiChannelDram(Simulation& sim, std::string name, const Params& params,
                      BackingStore& store);
+    HostLayer hostLayer() const override { return HostLayer::kMemory; }
 
     ResponsePort& port() { return port_; }
     const AddrRange& range() const { return params_.range; }

@@ -29,6 +29,7 @@ public:
 
     SimpleMemory(Simulation& sim, std::string name, const Params& params,
                  BackingStore& store);
+    HostLayer hostLayer() const override { return HostLayer::kMemory; }
 
     ResponsePort& port() { return port_; }
     const AddrRange& range() const { return params_.range; }

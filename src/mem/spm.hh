@@ -48,6 +48,7 @@ public:
     };
 
     Spm(Simulation& sim, std::string name, const Params& params);
+    HostLayer hostLayer() const override { return HostLayer::kMemory; }
 
     ResponsePort& cpuSidePort() { return cpuPort_; }
     RequestPort& memSidePort() { return memPort_; }

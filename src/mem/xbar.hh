@@ -52,6 +52,7 @@ public:
     };
 
     Xbar(Simulation& sim, std::string name, const Params& params);
+    HostLayer hostLayer() const override { return HostLayer::kMemory; }
     ~Xbar() override;
 
     /// Create a new upstream port (call before simulation starts).

@@ -5,12 +5,8 @@
 // this wrapper gives it the same shared-library face as the Verilator-path
 // models, demonstrating that both HDL flows land behind one ABI.
 //
-// Device register map:
-//   0x000 + 8*i : input element i (write)
-//   0x100 + 8*i : output element i (read; valid when done)
-//   0x200       : control — write 1 to start a sort
-//   0x208       : status — bit0 busy, bit1 done
-//   0x210       : element count N (read-only)
+// Device register map: rtl/device_regmap.hh (inputs at 0x000, outputs at
+// 0x100, control/status/count at 0x300/0x308/0x310).
 //
 // A sort takes one cycle per network stage (the pipeline depth of the
 // combinational network if it were registered), so timing scales with
@@ -24,11 +20,14 @@
 #include "bridge/rtl_api.h"
 #include "models/bitonic/bitonic_config.hh"
 #include "obs/trigger.hh"
+#include "rtl/device_regmap.hh"
 #include "rtl/netlist.hh"
 #include "rtl/vcd.hh"
 
 namespace g5r::models {
 namespace {
+
+using namespace rtl::regmap;
 
 rtl::EvalMode parseEvalMode(const char* config) {
     // config token "eval=levelized|dirty" wins; the GEM5RTL_NETLIST_EVAL
@@ -129,20 +128,20 @@ public:
 
 private:
     void writeReg(std::uint64_t addr, std::uint64_t data) {
-        const std::uint64_t off = addr & 0x3FF;
-        if (off < 8ull * n_) {
-            inputs_[off / 8] = data;
-        } else if (off == 0x200 && (data & 1) != 0) {
+        const std::uint64_t off = addr & kOffsetMask;
+        if (off - kInputBase < 8ull * n_) {
+            inputs_[(off - kInputBase) / 8] = data;
+        } else if (off == kControl && (data & 1) != 0) {
             busyCycles_ = stages_;
             done_ = false;
         }
     }
 
     std::uint64_t readReg(std::uint64_t addr) const {
-        const std::uint64_t off = addr & 0x3FF;
-        if (off >= 0x100 && off < 0x100 + 8ull * n_) return outputs_[(off - 0x100) / 8];
-        if (off == 0x208) return (busyCycles_ > 0 ? 1u : 0u) | (done_ ? 2u : 0u);
-        if (off == 0x210) return n_;
+        const std::uint64_t off = addr & kOffsetMask;
+        if (off - kOutputBase < 8ull * n_) return outputs_[(off - kOutputBase) / 8];
+        if (off == kStatus) return (busyCycles_ > 0 ? 1u : 0u) | (done_ ? 2u : 0u);
+        if (off == kCount) return n_;
         return 0;
     }
 

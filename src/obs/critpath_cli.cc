@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string_view>
 #include <vector>
 
 #include "exp/json.hh"
-#include "sim/parse_number.hh"
+#include "tools/args.hh"
 
 namespace g5r::obs {
 
@@ -176,55 +175,37 @@ exp::Json blameReportJson(const ReqTraceFile& file, const BlameSummary& blame) {
 
 namespace {
 
-int usage() {
-    std::cerr
-        << "usage: g5r-critpath [--json] [--waterfall[=N]] [--assert-sum] "
-           "<trace.reqtrace.jsonl>\n"
-           "  critical-path stage blame over a request-trace sidecar\n"
-           "  --json          machine-readable report on stdout\n"
-           "  --waterfall[=N] per-request glyph strips (first N roots; default all)\n"
-           "  --assert-sum    exit 1 unless per-stage blame sums to 100%% of every\n"
-           "                  request's end-to-end window\n";
-    return 2;
-}
+const tools::Command kCritpath{
+    "g5r critpath",
+    "usage: g5r critpath [--json] [--waterfall[=N]] [--assert-sum] "
+    "<trace.reqtrace.jsonl>\n"
+    "  critical-path stage blame over a request-trace sidecar\n"
+    "  --json          machine-readable report on stdout\n"
+    "  --waterfall[=N] per-request glyph strips (first N roots; default all)\n"
+    "  --assert-sum    exit 1 unless per-stage blame sums to 100% of every\n"
+    "                  request's end-to-end window\n",
+    {{"--json"}, {"--waterfall", tools::Arity::kOptional}, {"--assert-sum"}},
+    1,
+    1,
+};
 
 }  // namespace
 
 int critpathCliMain(int argc, const char* const* argv) {
-    bool json = false;
-    bool waterfall = false;
-    bool assertSum = false;
+    const tools::Args args = tools::parseArgs(kCritpath, argc, argv);
+    if (args.exit) return *args.exit;
+    const bool json = args.has("--json");
+    const bool waterfall = args.has("--waterfall");
+    const bool assertSum = args.has("--assert-sum");
     std::size_t waterfallCount = 0;
-    std::string path;
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg{argv[i]};
-        if (arg == "--json") {
-            json = true;
-        } else if (arg == "--waterfall") {
-            waterfall = true;
-        } else if (arg.rfind("--waterfall=", 0) == 0) {
-            waterfall = true;
-            const std::string_view value = arg.substr(std::strlen("--waterfall="));
-            const auto count = parseUnsigned(value, SIZE_MAX);
-            if (!count) return badOptionValue("g5r-critpath", "--waterfall", value);
-            waterfallCount = static_cast<std::size_t>(*count);
-        } else if (arg == "--assert-sum") {
-            assertSum = true;
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage();
-        } else if (path.empty()) {
-            path = arg;
-        } else {
-            return usage();
-        }
-    }
-    if (path.empty()) return usage();
+    if (!args.readUnsigned("--waterfall", waterfallCount)) return 2;
+    const std::string path = args.positionals()[0];
 
     ReqTraceFile file;
     try {
         file = readReqTrace(path);
     } catch (const std::exception& e) {
-        std::cerr << "g5r-critpath: " << e.what() << '\n';
+        std::cerr << kCritpath.tool << ": " << e.what() << '\n';
         return 2;
     }
 
@@ -232,10 +213,9 @@ int critpathCliMain(int argc, const char* const* argv) {
 
     // The computeBlame invariant, re-checked from the outputs: every root's
     // window fully attributed, nothing double-counted.
-    bool sumOk = true;
     Tick aggregate = blame.unattributed;
     for (unsigned s = 0; s < kNumReqStages; ++s) aggregate += blame.stageTicks[s];
-    sumOk = sumOk && aggregate == blame.totalTicks;
+    bool sumOk = aggregate == blame.totalTicks;
     for (const RequestBlame& r : blame.roots) {
         Tick sum = r.unattributed;
         for (unsigned s = 0; s < kNumReqStages; ++s) sum += r.stageTicks[s];
@@ -247,7 +227,7 @@ int critpathCliMain(int argc, const char* const* argv) {
         doc["sumOk"] = sumOk;
         std::cout << doc.dump() << '\n';
     } else {
-        std::printf("# g5r-critpath: %s\n", path.c_str());
+        std::printf("# g5r critpath: %s\n", path.c_str());
         std::printf("# run '%s', %zu requests (%zu roots), final tick %llu\n",
                     file.run.c_str(), file.records.size(), blame.roots.size(),
                     static_cast<unsigned long long>(file.endTick));

@@ -1,7 +1,4 @@
-// g5r-critpath — critical-path analysis over .reqtrace.jsonl sidecars.
-//
-//   g5r-critpath [--json] [--waterfall[=N]] [--assert-sum] <trace.reqtrace.jsonl>
-//
+// g5r critpath — critical-path analysis over .reqtrace.jsonl sidecars.
 // Renders per-stage blame tables (aggregate ticks, share of end-to-end time,
 // and share percentiles across root requests) and an optional per-request
 // waterfall: one fixed-width glyph strip per root, each column showing the

@@ -232,14 +232,14 @@ std::string formatDivergenceReport(const DivergenceReport& rep, const std::strin
                                    const std::string& nameB) {
     std::ostringstream os;
     if (!rep.comparable) {
-        os << "g5r-diff: recordings not comparable: " << rep.error << '\n';
+        os << "g5r diff: recordings not comparable: " << rep.error << '\n';
         return os.str();
     }
     if (!rep.diverged) {
-        os << "g5r-diff: recordings identical\n";
+        os << "g5r diff: recordings identical\n";
         return os.str();
     }
-    os << "g5r-diff: first divergence in " << rep.lane << " lane at interval "
+    os << "g5r diff: first divergence in " << rep.lane << " lane at interval "
        << rep.intervalIndex << " (ticks [" << rep.startTick << ", " << rep.endTick << "))\n";
     if (!rep.objectName.empty()) os << "  owning SimObject: " << rep.objectName << '\n';
     if (!rep.detail.empty()) os << "  " << rep.detail << '\n';

@@ -51,7 +51,7 @@ DivergenceReport findFirstDivergence(const Recording& a, const Recording& b,
 std::string formatDivergenceReport(const DivergenceReport& rep, const std::string& nameA,
                                    const std::string& nameB);
 
-/// Machine-readable form of the same report (g5r-diff --json): one JSON
+/// Machine-readable form of the same report (g5r diff --json): one JSON
 /// document with every DivergenceReport field, plus the side labels.
 std::string divergenceReportJson(const DivergenceReport& rep, const std::string& nameA,
                                  const std::string& nameB);

@@ -1,41 +1,14 @@
 #include "obs/profiler.hh"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 
 #include "exp/json.hh"
 
 namespace g5r::obs {
 
-namespace {
-
-bool containsTerm(std::string_view name, std::string_view term) {
-    return name.find(term) != std::string_view::npos;
-}
-
-constexpr std::array<std::string_view, 10> kMemoryTerms = {
-    "l1", "l2", "llc", "cache", "dram", "mem", "xbar", "noc", "bus", "scratchpad"};
-constexpr std::array<std::string_view, 4> kRtlTerms = {"nvdla", "pmu", "bitonic", "rtl"};
-constexpr std::array<std::string_view, 3> kCoreTerms = {"cpu", "core", "host"};
-
-}  // namespace
-
-std::string_view classifyBucket(std::string_view objectName) {
-    for (const auto term : kMemoryTerms) {
-        if (containsTerm(objectName, term)) return "memory";
-    }
-    for (const auto term : kRtlTerms) {
-        if (containsTerm(objectName, term)) return "rtl";
-    }
-    for (const auto term : kCoreTerms) {
-        if (containsTerm(objectName, term)) return "core";
-    }
-    return "other";
-}
-
-int HostProfiler::addSlot(std::string name) {
-    slots_.push_back(Slot{std::move(name), 0, 0, 0.0});
+int HostProfiler::addSlot(std::string name, HostLayer layer) {
+    slots_.push_back(Slot{std::move(name), layer, 0, 0, 0.0});
     return static_cast<int>(slots_.size() - 1);
 }
 
@@ -48,6 +21,7 @@ ProfileReport HostProfiler::report() const {
         if (s.dispatches == 0) continue;
         ProfileEntry e;
         e.name = s.name;
+        e.layer = s.layer;
         e.dispatches = s.dispatches;
         e.sampled = s.sampled;
         e.sampledSeconds = s.seconds;
@@ -68,19 +42,14 @@ ProfileReport HostProfiler::report() const {
 }
 
 std::vector<ProfileBucket> ProfileReport::buckets() const {
-    // Fixed order so reports diff cleanly run to run.
+    // Fixed order so reports diff cleanly run to run; the first four are
+    // indexed by HostLayer.
     std::vector<ProfileBucket> out = {
         {"rtl", 0.0, 0.0}, {"memory", 0.0, 0.0}, {"core", 0.0, 0.0},
         {"other", 0.0, 0.0}, {"queue", 0.0, 0.0}};
     double attributed = 0.0;
     for (const ProfileEntry& e : entries) {
-        const std::string_view bucket = classifyBucket(e.name);
-        for (ProfileBucket& b : out) {
-            if (b.name == bucket) {
-                b.seconds += e.estimatedSeconds;
-                break;
-            }
-        }
+        out[static_cast<std::size_t>(e.layer)].seconds += e.estimatedSeconds;
         attributed += e.estimatedSeconds;
     }
     // Remainder: the event loop itself plus sampling skew. Clamped at zero

@@ -4,7 +4,8 @@
 // the question behind the paper's fig. 6/7 and table 2 overhead numbers —
 // by attributing the host time of every event dispatch to the SimObject
 // that owns the event, then folding objects into a handful of buckets
-// (RTL evaluation, memory system, cores, queue overhead).
+// (RTL evaluation, memory system, cores, queue overhead) by the layer each
+// object declares (SimObject::hostLayer()).
 //
 // HostProfiler itself is a passive accumulator: obs::ObsSession owns the
 // steady_clock reads and feeds it exact dispatch counts plus (possibly
@@ -17,19 +18,17 @@
 #include <string>
 #include <vector>
 
+#include "sim/sim_object.hh"
+
 namespace g5r::exp {
 class Json;
 }  // namespace g5r::exp
 
 namespace g5r::obs {
 
-/// Coarse wall-time bucket for a SimObject, decided from its name.
-/// Memory terms are checked before RTL/core terms so "system.cpu0.l1d"
-/// lands in "memory" while "system.cpu0" lands in "core".
-std::string_view classifyBucket(std::string_view objectName);
-
 struct ProfileEntry {
     std::string name;               ///< SimObject name (or "(unattributed)").
+    HostLayer layer = HostLayer::kOther;  ///< Bucket the entry folds into.
     std::uint64_t dispatches = 0;   ///< Exact dispatch count.
     std::uint64_t sampled = 0;      ///< Dispatches that were actually timed.
     double sampledSeconds = 0.0;    ///< Wall time of the timed subset.
@@ -67,8 +66,9 @@ class HostProfiler {
 public:
     explicit HostProfiler(unsigned stride) : stride_(stride ? stride : 1) {}
 
-    /// Register an attribution slot; returns its index. Call before use.
-    int addSlot(std::string name);
+    /// Register an attribution slot charged to @p layer's bucket; returns
+    /// its index. Call before use.
+    int addSlot(std::string name, HostLayer layer = HostLayer::kOther);
 
     void countDispatch(int slot) { ++slots_[static_cast<std::size_t>(slot)].dispatches; }
 
@@ -87,6 +87,7 @@ public:
 private:
     struct Slot {
         std::string name;
+        HostLayer layer = HostLayer::kOther;
         std::uint64_t dispatches = 0;
         std::uint64_t sampled = 0;
         double seconds = 0.0;

@@ -10,7 +10,7 @@
 //   * an always-cheap in-memory ring of the last K dispatches/packets — the
 //     "black box" — dumped to stderr by panic() via a panic hook registered
 //     for the lifetime of the recorder, and appended to the sidecar by
-//     finish() so g5r-diff can show the event neighborhood of a divergence.
+//     finish() so g5r diff can show the event neighborhood of a divergence.
 //
 // The recorder holds no host-time or pointer state in anything it writes:
 // recordings of byte-identical runs are byte-identical at any --jobs count.

@@ -1,5 +1,5 @@
 // Flight-recording format: the .g5rec sidecar written by obs::Recorder and
-// consumed by the first-divergence finder (obs/diff.hh, g5r-diff CLI).
+// consumed by the first-divergence finder (obs/diff.hh, g5r diff CLI).
 //
 // A recording summarises one run's dispatch and packet streams as a list of
 // fixed-width simulated-time intervals. Each interval carries, per lane

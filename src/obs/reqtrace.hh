@@ -33,7 +33,7 @@
 // uncovered ticks land in an "unattributed" bucket, so per-stage shares sum
 // to exactly 100% of end-to-end ticks by construction. The request tree,
 // its clamped subtree-span walk and the precedence are defined once, here;
-// g5r-critpath's waterfall and ObsSession's Perfetto request tracks reuse
+// g5r critpath's waterfall and ObsSession's Perfetto request tracks reuse
 // them.
 #pragma once
 

@@ -193,7 +193,7 @@ int ObsSession::slotFor(const SimObject& obj) {
     if (it != slotByObject_.end()) return it->second;
     const int slot = nextSlot_++;
     slotByObject_.emplace(&obj, slot);
-    if (profiler_) profiler_->addSlot(obj.name());
+    if (profiler_) profiler_->addSlot(obj.name(), obj.hostLayer());
     if (trace_) trace_->threadName(slot, obj.name());
     if (recorder_) recorder_->noteObjectName(slot, obj.name());
     return slot;

@@ -6,9 +6,9 @@
 //
 //   * TraceSession    — Perfetto trace: dispatch spans, counters, packet flows.
 //   * HostProfiler    — per-SimObject wall time in rtl/memory/core/... buckets.
-//   * Recorder        — .g5rec interval digests for g5r-diff, panic() black box.
-//   * MetricsSession  — .metrics.jsonl stat timeline for g5r-stats.
-//   * ReqTraceSession — request span trees for g5r-critpath stage blame.
+//   * Recorder        — .g5rec interval digests for g5r diff, panic() black box.
+//   * MetricsSession  — .metrics.jsonl stat timeline for g5r stats.
+//   * ReqTraceSession — request span trees for g5r critpath stage blame.
 //
 // The first four are fed by the dispatch and packet hooks, so the session
 // installs itself as the simulation's observer only when one of them is on.

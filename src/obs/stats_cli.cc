@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <unordered_map>
@@ -13,6 +11,7 @@
 #include "exp/json.hh"
 #include "obs/metrics.hh"
 #include "sim/parse_number.hh"
+#include "tools/args.hh"
 
 namespace g5r::obs {
 
@@ -139,9 +138,11 @@ StatsDiffReport diffBenchDocuments(const exp::Json& baseline, const exp::Json& c
         flattenNumeric(*it->second, "", curMetrics);
         std::unordered_map<std::string_view, double> curByName;
         for (const auto& [name, value] : curMetrics) curByName.emplace(name, value);
+        std::unordered_set<std::string_view> baseNames;
 
         for (const auto& [name, baseValue] : baseMetrics) {
             if (isConfigIntKey(name) || isExcludedMetric(name)) continue;
+            baseNames.insert(name);
             const auto cit = curByName.find(name);
             if (cit == curByName.end()) {
                 report.violations.push_back(
@@ -149,6 +150,16 @@ StatsDiffReport diffBenchDocuments(const exp::Json& baseline, const exp::Json& c
                 continue;
             }
             compareMetric(opts, id, name, baseValue, cit->second, report);
+        }
+        // A metric absent from the baseline reads as 0 there (BENCH points
+        // omit masters with no latency samples), so only a nonzero one is new.
+        for (const auto& [name, curValue] : curMetrics) {
+            if (isConfigIntKey(name) || isExcludedMetric(name) || curValue == 0 ||
+                baseNames.count(name) != 0) {
+                continue;
+            }
+            report.violations.push_back(
+                StatsDiffViolation{id, name, 0, curValue, 0, 0, "new metric"});
         }
     }
     return report;
@@ -181,10 +192,10 @@ std::string formatStatsDiffReport(const StatsDiffReport& report,
                                   const std::string& currentPath) {
     std::ostringstream os;
     if (!report.comparable) {
-        os << "g5r-stats: not comparable: " << report.error << '\n';
+        os << "g5r stats: not comparable: " << report.error << '\n';
         return os.str();
     }
-    os << "g5r-stats diff\n  baseline: " << baselinePath << "\n  current:  " << currentPath
+    os << "g5r stats diff\n  baseline: " << baselinePath << "\n  current:  " << currentPath
        << '\n';
     for (const StatsDiffViolation& v : report.violations) {
         if (!v.note.empty()) {
@@ -315,90 +326,78 @@ std::string renderBenchPercentiles(const exp::Json& doc) {
 
 namespace {
 
-int usage() {
-    std::cerr
-        << "usage: g5r-stats <command> ...\n"
-           "  g5r-stats timeline <file.metrics.jsonl> [--channel SUBSTR] [--max N]\n"
-           "      render a GEM5RTL_METRICS timeline as per-channel strips\n"
-           "  g5r-stats percentiles <BENCH_*.json | file.metrics.jsonl>\n"
-           "      print latency percentile tables\n"
-           "  g5r-stats diff <baseline> <current> [--threshold F] [--metric NAME[=F]]\n"
-           "      compare two BENCH_*.json documents or two metrics timelines;\n"
-           "      exit 1 when any metric moves more than its relative threshold\n"
-           "      (default 0.25; --metric NAME=F overrides metrics containing NAME)\n";
-    return 2;
-}
+constexpr std::string_view kUsage =
+    "usage: g5r stats <command> ...\n"
+    "  g5r stats timeline <file.metrics.jsonl> [--channel SUBSTR] [--max N]\n"
+    "      render a GEM5RTL_METRICS timeline as per-channel strips\n"
+    "  g5r stats percentiles <BENCH_*.json | file.metrics.jsonl>\n"
+    "      print latency percentile tables\n"
+    "  g5r stats diff <baseline> <current> [--threshold F] [--metric NAME[=F]]\n"
+    "      compare two BENCH_*.json documents or two metrics timelines;\n"
+    "      exit 1 when any metric moves more than its relative threshold\n"
+    "      (default 0.25; --metric NAME=F overrides metrics containing NAME)\n";
 
-/// What kind of stats file is this? BENCH documents are one JSON object;
-/// timelines are JSONL whose first line carries the g5rMetrics marker.
-enum class FileKind { kBench, kTimeline, kUnknown };
+using tools::Arity;
+const tools::Command kTimeline{
+    "g5r stats timeline", kUsage, {{"--channel", Arity::kValue}, {"--max", Arity::kValue}}, 1, 1};
+const tools::Command kPercentiles{"g5r stats percentiles", kUsage, {}, 1, 1};
+const tools::Command kDiff{
+    "g5r stats diff", kUsage, {{"--threshold", Arity::kValue}, {"--metric", Arity::kValue}}, 2, 2};
 
-FileKind sniffKind(const std::string& path, std::string& error) {
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
-        return FileKind::kUnknown;
-    }
-    std::string firstLine;
-    std::getline(in, firstLine);
-    if (firstLine.find("\"g5rMetrics\"") != std::string::npos) return FileKind::kTimeline;
-    return FileKind::kBench;
-}
+/// A stats input file: a BENCH document (one JSON object) or a metrics
+/// timeline (JSONL whose first line carries the g5rMetrics marker).
+struct StatsInput {
+    bool isTimeline = false;
+    exp::Json bench;
+    MetricsTimeline timeline;
+};
 
-bool loadBench(const std::string& path, exp::Json& doc, std::string& error) {
-    std::ifstream in(path);
-    if (!in) {
-        error = "cannot open " + path;
-        return false;
-    }
-    std::stringstream buffer;
-    buffer << in.rdbuf();
+std::optional<StatsInput> loadStatsInput(const std::string& tool, const std::string& path) {
+    const auto text = tools::readInputFile(tool, path);
+    if (!text) return std::nullopt;
+    StatsInput in;
+    in.isTimeline = text->substr(0, text->find('\n')).find("\"g5rMetrics\"") != std::string::npos;
     try {
-        doc = exp::Json::parse(buffer.str());
+        if (in.isTimeline) {
+            in.timeline = readMetricsTimeline(path);
+        } else {
+            in.bench = exp::Json::parse(*text);
+        }
     } catch (const std::exception& e) {
-        error = path + ": " + e.what();
-        return false;
+        std::cerr << tool << ": " << (in.isTimeline ? "" : path + ": ") << e.what() << '\n';
+        return std::nullopt;
     }
-    return true;
+    return in;
 }
 
-int runDiff(const std::string& basePath, const std::string& curPath,
-            const StatsDiffOptions& opts) {
-    std::string error;
-    const FileKind baseKind = sniffKind(basePath, error);
-    if (baseKind == FileKind::kUnknown) {
-        std::cerr << "g5r-stats: " << error << '\n';
-        return 2;
-    }
-    const FileKind curKind = sniffKind(curPath, error);
-    if (curKind == FileKind::kUnknown) {
-        std::cerr << "g5r-stats: " << error << '\n';
-        return 2;
-    }
-    if (baseKind != curKind) {
-        std::cerr << "g5r-stats: cannot diff a BENCH document against a timeline\n";
-        return 2;
-    }
-
-    StatsDiffReport report;
-    if (baseKind == FileKind::kBench) {
-        exp::Json base, cur;
-        if (!loadBench(basePath, base, error) || !loadBench(curPath, cur, error)) {
-            std::cerr << "g5r-stats: " << error << '\n';
-            return 2;
+int runDiff(const tools::Args& args) {
+    StatsDiffOptions opts;
+    if (!args.readNonNegative("--threshold", opts.defaultThreshold)) return 2;
+    for (const tools::Arg& a : args.items) {
+        if (a.option != "--metric") continue;
+        const std::string& spec = *a.value;
+        const auto eq = spec.find('=');
+        MetricThreshold t;
+        t.match = spec.substr(0, eq);
+        if (eq != std::string::npos) {
+            t.threshold = parseNonNegative(std::string_view{spec}.substr(eq + 1));
+            if (!t.threshold) return args.bad("--metric", spec);
         }
-        report = diffBenchDocuments(base, cur, opts);
-    } else {
-        try {
-            const MetricsTimeline base = readMetricsTimeline(basePath);
-            const MetricsTimeline cur = readMetricsTimeline(curPath);
-            report = diffTimelines(base, cur, opts);
-        } catch (const std::exception& e) {
-            std::cerr << "g5r-stats: " << e.what() << '\n';
-            return 2;
-        }
+        opts.perMetric.push_back(std::move(t));
     }
-    std::cout << formatStatsDiffReport(report, basePath, curPath);
+    const std::vector<std::string> paths = args.positionals();
+    const auto base = loadStatsInput(kDiff.tool, paths[0]);
+    if (!base) return 2;
+    const auto cur = loadStatsInput(kDiff.tool, paths[1]);
+    if (!cur) return 2;
+    if (base->isTimeline != cur->isTimeline) {
+        std::cerr << kDiff.tool << ": cannot diff a BENCH document against a timeline\n";
+        return 2;
+    }
+    const StatsDiffReport report = base->isTimeline
+                                       ? diffTimelines(base->timeline, cur->timeline, opts)
+                                       : diffBenchDocuments(base->bench, cur->bench, opts);
+    std::cout << formatStatsDiffReport(report, paths[0], paths[1]);
     if (!report.comparable) return 2;
     return report.violations.empty() ? 0 : 1;
 }
@@ -406,106 +405,50 @@ int runDiff(const std::string& basePath, const std::string& curPath,
 }  // namespace
 
 int statsCliMain(int argc, const char* const* argv) {
-    if (argc < 2) return usage();
-    const std::string cmd = argv[1];
-
-    if (cmd == "timeline") {
-        std::string path, filter;
-        std::size_t maxChannels = 32;
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--channel") == 0 && i + 1 < argc) {
-                filter = argv[++i];
-            } else if (std::strcmp(argv[i], "--max") == 0 && i + 1 < argc) {
-                const auto max = parseUnsigned(argv[++i], SIZE_MAX);
-                if (!max) return badOptionValue("g5r-stats", "--max", argv[i]);
-                maxChannels = static_cast<std::size_t>(*max);
-            } else if (argv[i][0] == '-') {
-                return usage();
-            } else if (path.empty()) {
-                path = argv[i];
-            } else {
-                return usage();
-            }
-        }
-        if (path.empty()) return usage();
-        try {
-            std::cout << renderTimeline(readMetricsTimeline(path), filter, maxChannels);
-        } catch (const std::exception& e) {
-            std::cerr << "g5r-stats: " << e.what() << '\n';
-            return 2;
-        }
+    const std::string_view cmd = argc > 1 ? argv[1] : "";
+    if (cmd == "--help" || cmd == "-h") {
+        std::cout << kUsage;
         return 0;
     }
+    const tools::Command* spec = cmd == "timeline"      ? &kTimeline
+                                 : cmd == "percentiles" ? &kPercentiles
+                                 : cmd == "diff"        ? &kDiff
+                                                        : nullptr;
+    if (spec == nullptr) {
+        if (!cmd.empty()) std::cerr << "g5r stats: unknown command " << cmd << '\n';
+        std::cerr << kUsage;
+        return 2;
+    }
+    const tools::Args args = tools::parseArgs(*spec, argc - 1, argv + 1);
+    if (args.exit) return *args.exit;
+    if (spec == &kDiff) return runDiff(args);
 
-    if (cmd == "percentiles") {
-        if (argc != 3) return usage();
-        const std::string path = argv[2];
-        std::string error;
-        const FileKind kind = sniffKind(path, error);
-        if (kind == FileKind::kUnknown) {
-            std::cerr << "g5r-stats: " << error << '\n';
+    std::size_t maxChannels = 32;
+    if (!args.readUnsigned("--max", maxChannels)) return 2;
+    const std::string path = args.positionals()[0];
+    const auto in = loadStatsInput(spec->tool, path);
+    if (!in) return 2;
+    if (spec == &kTimeline) {
+        if (!in->isTimeline) {
+            std::cerr << spec->tool << ": " << path << ": not a g5r metrics timeline\n";
             return 2;
         }
-        if (kind == FileKind::kBench) {
-            exp::Json doc;
-            if (!loadBench(path, doc, error)) {
-                std::cerr << "g5r-stats: " << error << '\n';
-                return 2;
-            }
-            std::cout << renderBenchPercentiles(doc);
-        } else {
-            // Timelines: the percentile channels are first-class; show them.
-            try {
-                const MetricsTimeline tl = readMetricsTimeline(path);
-                for (const std::string& channel : tl.channels()) {
-                    const auto tail = channel.rfind('.');
-                    const std::string suffix =
-                        tail == std::string::npos ? channel : channel.substr(tail);
-                    if (suffix != ".p50" && suffix != ".p99" && suffix != ".p999") continue;
-                    std::printf("%-64s %14.6g\n", channel.c_str(),
-                                tl.finalValue(channel));
-                }
-            } catch (const std::exception& e) {
-                std::cerr << "g5r-stats: " << e.what() << '\n';
-                return 2;
-            }
-        }
+        std::cout << renderTimeline(in->timeline, args.value("--channel").value_or(""),
+                                    maxChannels);
         return 0;
     }
-
-    if (cmd == "diff") {
-        StatsDiffOptions opts;
-        std::string basePath, curPath;
-        for (int i = 2; i < argc; ++i) {
-            if (std::strcmp(argv[i], "--threshold") == 0 && i + 1 < argc) {
-                const auto threshold = parseNonNegative(argv[++i]);
-                if (!threshold) return badOptionValue("g5r-stats", "--threshold", argv[i]);
-                opts.defaultThreshold = *threshold;
-            } else if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc) {
-                const std::string spec = argv[++i];
-                const auto eq = spec.find('=');
-                MetricThreshold t;
-                t.match = spec.substr(0, eq);
-                if (eq != std::string::npos) {
-                    t.threshold = parseNonNegative(std::string_view{spec}.substr(eq + 1));
-                    if (!t.threshold) return badOptionValue("g5r-stats", "--metric", spec);
-                }
-                opts.perMetric.push_back(std::move(t));
-            } else if (argv[i][0] == '-') {
-                return usage();
-            } else if (basePath.empty()) {
-                basePath = argv[i];
-            } else if (curPath.empty()) {
-                curPath = argv[i];
-            } else {
-                return usage();
-            }
-        }
-        if (curPath.empty()) return usage();
-        return runDiff(basePath, curPath, opts);
+    if (!in->isTimeline) {
+        std::cout << renderBenchPercentiles(in->bench);
+        return 0;
     }
-
-    return usage();
+    // Timelines: the percentile channels are first-class; show them.
+    for (const std::string& channel : in->timeline.channels()) {
+        const auto tail = channel.rfind('.');
+        const std::string suffix = tail == std::string::npos ? channel : channel.substr(tail);
+        if (suffix != ".p50" && suffix != ".p99" && suffix != ".p999") continue;
+        std::printf("%-64s %14.6g\n", channel.c_str(), in->timeline.finalValue(channel));
+    }
+    return 0;
 }
 
 }  // namespace g5r::obs

@@ -1,4 +1,4 @@
-// g5r-stats — render metrics timelines and gate perf regressions.
+// g5r stats — render metrics timelines and gate perf regressions.
 //
 // Three subcommands, all exposed here as library functions so tests can
 // drive them without spawning processes:
@@ -20,9 +20,10 @@
 //     comparable across machines. Simulated results (runtimeTicks,
 //     memLatency*, normalizedPerf) are deterministic and do compare.
 //   * A point or metric present in the baseline but missing from the
-//     current document is a violation (silent metric loss must not pass a
-//     gate); current-only additions are ignored (schemas may grow).
-//   * Exit status mirrors g5r-diff: 0 = within thresholds, 1 = violations,
+//     current document is a violation, and so is a nonzero metric only the
+//     current one has ("new metric": points omit latency masters with no
+//     samples). Silent metric loss or gain must not pass a gate.
+//   * Exit status mirrors g5r diff: 0 = within thresholds, 1 = violations,
 //     2 = usage / unreadable input.
 #pragma once
 
@@ -58,7 +59,7 @@ struct StatsDiffViolation {
     double current = 0;
     double relDelta = 0;
     double threshold = 0;
-    std::string note;    ///< "missing point" / "missing metric" when structural.
+    std::string note;    ///< "missing point" / "missing metric" / "new metric".
 };
 
 struct StatsDiffReport {

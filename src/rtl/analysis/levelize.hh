@@ -7,7 +7,7 @@
 // and — unlike an arbitrary topological order — the schedule is *canonical*:
 // it depends only on the graph, not on traversal order, hash seeds, or thread
 // count. That determinism is what lets the interpreter's evalLevelized()
-// mode, the future compiled backend, and `g5r-lint --dump-levels` all agree
+// mode, the future compiled backend, and `g5r lint --dump-levels` all agree
 // byte-for-byte.
 //
 // Cycles are handled by SCC condensation (iterative Tarjan): every member of

@@ -7,6 +7,7 @@
 
 #include "rtl/analysis/cones.hh"
 #include "rtl/analysis/const_prop.hh"
+#include "rtl/device_regmap.hh"
 
 namespace g5r::rtl::codegen {
 namespace {
@@ -178,7 +179,7 @@ std::string emitCompiledModel(const Netlist& netlist, const CodegenOptions& opts
         opts.deviceLatency > 0 ? opts.deviceLatency : std::max(1u, sched.depth());
 
     std::ostringstream os;
-    os << "// Generated by g5r-netlistc from " << opts.sourceLabel << ".\n"
+    os << "// Generated by g5r netlistc from " << opts.sourceLabel << ".\n"
        << "// Compiled netlist model \"" << opts.modelName << "\": "
        << numNodes << " net(s), " << stats.combNodes
        << " combinational, depth " << stats.depth << ", " << stats.regs
@@ -191,7 +192,15 @@ std::string emitCompiledModel(const Netlist& netlist, const CodegenOptions& opts
        << "constexpr uint32_t kNumInputs = " << inputNodes.size() << ";\n"
        << "constexpr uint32_t kNumOutputs = " << g.outputs.size() << ";\n"
        << "constexpr uint32_t kNumRegs = " << regNodes.size() << ";\n"
-       << "constexpr uint32_t kDeviceLatency = " << latency << ";\n\n";
+       << "constexpr uint32_t kDeviceLatency = " << latency << ";\n"
+       << std::hex << std::showbase
+       << "constexpr uint64_t kInputBase = " << regmap::kInputBase << ";\n"
+       << "constexpr uint64_t kOutputBase = " << regmap::kOutputBase << ";\n"
+       << "constexpr uint64_t kControlReg = " << regmap::kControl << ";\n"
+       << "constexpr uint64_t kStatusReg = " << regmap::kStatus << ";\n"
+       << "constexpr uint64_t kCountReg = " << regmap::kCount << ";\n"
+       << "constexpr uint64_t kOffsetMask = " << regmap::kOffsetMask << ";\n\n"
+       << std::dec << std::noshowbase;
 
     // --- the kernel: packed state + level-block eval functions -----------
     os << "struct Kernel {\n"
@@ -531,15 +540,8 @@ uint64_t kernelGetOutput(void* p, uint32_t index) {
        << "    kernelGetOutput,\n};\n";
 
     // --- the rtl_api.h device wrapper ------------------------------------
-    // Register map (the generic netlist-accelerator protocol the bitonic
-    // model established; element counts above 64 would collide with the
-    // control block and are rejected by g5r-netlistc's CLI for the wrapper
-    // path):
-    //   0x000 + 8*i : input element i (write)
-    //   0x100 + 8*i : output element i (read; valid when done)
-    //   0x200       : control — write 1 to start (busy for kDeviceLatency)
-    //   0x208       : status — bit0 busy, bit1 done
-    //   0x210       : element count (read-only)
+    // Register map: rtl/device_regmap.hh, emitted as the constants above.
+    // A start written to kControlReg raises busy for kDeviceLatency cycles.
     os << R"(
 struct Model {
     Kernel kernel;
@@ -570,22 +572,22 @@ void apiDestroy(void* p) { delete static_cast<Model*>(p); }
 void apiReset(void* p) { modelReset(static_cast<Model*>(p)); }
 
 uint64_t readReg(const Model* m, uint64_t addr) {
-    const uint64_t off = addr & 0x3FF;
-    if (off >= 0x100 && off < 0x100 + 8ull * kNumOutputs) {
-        return m->outputs[(off - 0x100) / 8];
+    const uint64_t off = addr & kOffsetMask;
+    if (off - kOutputBase < 8ull * kNumOutputs) {
+        return m->outputs[(off - kOutputBase) / 8];
     }
-    if (off == 0x208) {
+    if (off == kStatusReg) {
         return (m->busyCycles > 0 ? 1u : 0u) | (m->done ? 2u : 0u);
     }
-    if (off == 0x210) return kNumInputs;
+    if (off == kCountReg) return kNumInputs;
     return 0;
 }
 
 void writeReg(Model* m, uint64_t addr, uint64_t data) {
-    const uint64_t off = addr & 0x3FF;
-    if (off < 8ull * kNumInputs) {
-        m->inputs[off / 8] = data;
-    } else if (off == 0x200 && (data & 1) != 0) {
+    const uint64_t off = addr & kOffsetMask;
+    if (off - kInputBase < 8ull * kNumInputs) {
+        m->inputs[(off - kInputBase) / 8] = data;
+    } else if (off == kControlReg && (data & 1) != 0) {
         m->busyCycles = kDeviceLatency;
         m->done = 0;
     }

@@ -38,7 +38,7 @@ struct CodegenOptions {
     std::string modelName = "netlist";
 
     /// Device-wrapper compute latency in RTL cycles (a start written to
-    /// 0x200 raises busy for this many ticks before outputs settle — the
+    /// the control register raises busy for this many ticks before outputs settle — the
     /// pipeline depth of the registered design). 0 = the schedule depth,
     /// minimum 1.
     unsigned deviceLatency = 0;

@@ -3,7 +3,7 @@
 // This is the moral equivalent of the paper's GHDL invocation: a one-shot
 // native compile producing a shared library the simulator dlopen()s through
 // the stable C ABI. The simulator itself never links any of it — only
-// g5r-netlistc (and the conformance tests) run the compiler.
+// g5r netlistc (and the conformance tests) run the compiler.
 #pragma once
 
 #include <string>

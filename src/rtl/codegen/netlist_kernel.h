@@ -1,5 +1,5 @@
 /*
- * The raw-kernel ABI a g5r-netlistc-compiled netlist library exports next to
+ * The raw-kernel ABI a netlist library compiled by g5r netlistc exports next to
  * the simulator-facing bridge/rtl_api.h table.
  *
  * The rtl_api.h entry point wraps the compiled netlist in a generic device
@@ -11,7 +11,7 @@
  * code directly, without threading every value through the device channel.
  *
  * Pure C for the same reason rtl_api.h is: the .so is produced by whatever
- * host toolchain g5r-netlistc found, which need not match the simulator's.
+ * host toolchain g5r netlistc found, which need not match the simulator's.
  */
 #ifndef G5R_RTL_CODEGEN_NETLIST_KERNEL_H
 #define G5R_RTL_CODEGEN_NETLIST_KERNEL_H

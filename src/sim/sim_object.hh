@@ -17,6 +17,10 @@ namespace g5r {
 class EventQueue;
 class Simulation;
 
+/// The part of the simulated system a component belongs to: the host-time
+/// profiler (obs/profiler.hh) charges its event handlers to this bucket.
+enum class HostLayer { kRtl, kMemory, kCore, kOther };
+
 class SimObject {
 public:
     SimObject(Simulation& sim, std::string name);
@@ -32,6 +36,9 @@ public:
     /// Called once immediately before simulation begins; schedule initial
     /// events here.
     virtual void startup() {}
+
+    /// Host-profile bucket of this object's event handlers.
+    virtual HostLayer hostLayer() const { return HostLayer::kOther; }
 
     Simulation& simulation() { return sim_; }
     EventQueue& eventQueue();

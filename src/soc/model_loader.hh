@@ -28,7 +28,7 @@ inline std::string rtlModelPath(const std::string& shortName) {
     return rtlModelDir() + "/lib" + shortName + "_rtl.so";
 }
 
-/// Path of a g5r-netlistc compiled model library (lib<name>_c<n>.so).
+/// Path of a g5r netlistc compiled model library (lib<name>_c<n>.so).
 inline std::string compiledNetlistModelPath(const std::string& shortName,
                                             unsigned n) {
     return rtlModelDir() + "/lib" + shortName + "_c" + std::to_string(n) + ".so";

@@ -36,6 +36,7 @@ public:
 
     NvdlaHost(Simulation& sim, std::string name, const Params& params,
               models::NvdlaTrace trace);
+    HostLayer hostLayer() const override { return HostLayer::kCore; }
 
     RequestPort& port() { return port_; }
 

@@ -51,6 +51,7 @@ public:
     /// @p gem5Probe returns {committed insts, cycles, l1d misses} at call time.
     PmuObserver(Simulation& sim, std::string name, const Params& params,
                 std::function<std::array<double, 3>()> gem5Probe);
+    HostLayer hostLayer() const override { return HostLayer::kCore; }
 
     RequestPort& port() { return port_; }
 

@@ -22,6 +22,7 @@ class SpmPrefetcher : public SimObject {
 public:
     SpmPrefetcher(Simulation& sim, std::string name, DmaEngine& dma,
                   const models::NvdlaTrace& trace);
+    HostLayer hostLayer() const override { return HostLayer::kCore; }
 
     /// Invoked once when every segment has been staged into the SPM.
     void setDoneCallback(std::function<void()> cb) { doneCallback_ = std::move(cb); }

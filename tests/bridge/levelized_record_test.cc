@@ -1,7 +1,7 @@
 // Evaluator identity at the bridge level: the same bitonic sort driven
 // through the dlopen'd model under both interpreter modes — and through the
-// g5r-netlistc compiled library (eval=compiled) — must produce byte-identical
-// flight recordings (the PR 5 recorder is the witness — g5r-diff exit 0 ==
+// g5r netlistc compiled library (eval=compiled) — must produce byte-identical
+// flight recordings (the PR 5 recorder is the witness — g5r diff exit 0 ==
 // DivergenceReport{!diverged}) and equal sorted outputs read back over the
 // device channel.
 #include <gtest/gtest.h>
@@ -47,7 +47,7 @@ std::vector<std::uint64_t> runRecordedSort(const std::string& config,
     auto session = obs::ObsSession::create(sim, opts, "levelized_identity");
 
     RtlObjectParams params;
-    // eval=compiled resolves to the g5r-netlistc library (libbitonic_cN.so),
+    // eval=compiled resolves to the g5r netlistc library (libbitonic_cN.so),
     // everything else to the interpreted model.
     auto rtl = std::make_unique<RtlObject>(
         sim, "bitonic_obj", params,
@@ -81,10 +81,10 @@ std::vector<std::uint64_t> runRecordedSort(const std::string& config,
 
     std::vector<std::uint64_t> sorted;
     for (std::size_t i = 0; i < data.size(); ++i) writeReg(8 * i, data[i]);
-    writeReg(0x200, 1);  // Start.
-    for (int spin = 0; spin < 100 && (readReg(0x208) & 2) == 0; ++spin) {
+    writeReg(0x300, 1);  // Start.
+    for (int spin = 0; spin < 100 && (readReg(0x308) & 2) == 0; ++spin) {
     }
-    EXPECT_EQ(readReg(0x208) & 2, 2u) << "sort never finished";
+    EXPECT_EQ(readReg(0x308) & 2, 2u) << "sort never finished";
     for (std::size_t i = 0; i < data.size(); ++i) {
         sorted.push_back(readReg(0x100 + 8 * i));
     }
@@ -113,7 +113,7 @@ TEST_P(LevelizedRecord, BothEvalModesProduceIdenticalRecordingsAndOutputs) {
     EXPECT_EQ(outDirty, expected);
     EXPECT_EQ(outLevel, outDirty);
 
-    // Recorder identity: the library face of `g5r-diff a b` returning 0.
+    // Recorder identity: the library face of `g5r diff a b` returning 0.
     const auto rep = obs::diffRecordingFiles(recDirty, recLevel, obs::DiffLane::kBoth);
     EXPECT_TRUE(rep.comparable) << rep.error;
     EXPECT_FALSE(rep.diverged) << rep.lane << " @ interval " << rep.intervalIndex
@@ -126,7 +126,7 @@ TEST_P(LevelizedRecord, BothEvalModesProduceIdenticalRecordingsAndOutputs) {
 INSTANTIATE_TEST_SUITE_P(Sizes, LevelizedRecord, ::testing::Values(4u, 8u, 16u));
 
 // The compiled backend through the same lens: the native .so emitted by
-// g5r-netlistc, loaded over the identical dlopen ABI, must be recording-
+// g5r netlistc, loaded over the identical dlopen ABI, must be recording-
 // identical to BOTH interpreter modes — the acceptance witness that codegen
 // preserves per-tick device behaviour, not just final values.
 class CompiledRecord : public ::testing::TestWithParam<unsigned> {};

@@ -91,7 +91,7 @@ TEST(Json, TypeErrorsThrowNotCrash) {
 
 TEST(BenchReport, DocumentCarriesRequiredMetadata) {
     const Json doc = benchDocument("unit-test", 4);
-    EXPECT_EQ(doc.at("schema").asInt(), 2);
+    EXPECT_EQ(doc.at("schema").asInt(), 3);
     EXPECT_EQ(doc.at("bench").asString(), "unit-test");
     EXPECT_EQ(doc.at("jobs").asInt(), 4);
     EXPECT_TRUE(doc.contains("host"));
@@ -129,7 +129,7 @@ TEST(BenchReport, Schema2PercentilePointRoundTrips) {
 
     for (const int indent : {0, 2}) {
         const Json back = Json::parse(doc.dump(indent));
-        EXPECT_EQ(back.at("schema").asInt(), 2);
+        EXPECT_EQ(back.at("schema").asInt(), 3);
         const Json& p = back.at("points").items()[0];
         EXPECT_DOUBLE_EQ(p.at("memLatencyP50").asDouble(), 21504.0);
         EXPECT_DOUBLE_EQ(p.at("memLatencyP99").asDouble(), 114688.0);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "bridge/rtl_model.hh"
@@ -17,13 +18,15 @@ namespace {
 class BitonicHarness {
 public:
     explicit BitonicHarness(const std::string& config = "n=16")
-        : model_(g5r_bitonic_model_api(), config) {
-        model_.reset();
+        : BitonicHarness(std::make_unique<ApiRtlModel>(g5r_bitonic_model_api(), config)) {}
+
+    explicit BitonicHarness(std::unique_ptr<RtlModel> model) : model_(std::move(model)) {
+        model_->reset();
     }
 
     G5rRtlOutput tick(const G5rRtlInput& in = {}) {
         G5rRtlOutput out{};
-        model_.tick(in, out);
+        model_->tick(in, out);
         return out;
     }
 
@@ -51,7 +54,7 @@ public:
         for (std::size_t i = 0; i < data.size(); ++i) {
             writeReg(8 * i, static_cast<std::uint64_t>(data[i]));
         }
-        writeReg(0x200, 1);  // Start.
+        writeReg(0x300, 1);  // Start.
         // Run until done (pipeline depth cycles).
         for (int t = 0; t < 200; ++t) {
             if (tick().done != 0) break;
@@ -64,14 +67,14 @@ public:
     }
 
 private:
-    ApiRtlModel model_;
+    std::unique_ptr<RtlModel> model_;
 };
 
 TEST(BitonicModel, ReportsConfiguredSize) {
     BitonicHarness b{"n=8"};
-    EXPECT_EQ(b.readReg(0x210), 8u);
+    EXPECT_EQ(b.readReg(0x310), 8u);
     BitonicHarness d{""};
-    EXPECT_EQ(d.readReg(0x210), 16u);  // Default.
+    EXPECT_EQ(d.readReg(0x310), 16u);  // Default.
 }
 
 TEST(BitonicModel, SortsAFixedVector) {
@@ -83,7 +86,7 @@ TEST(BitonicModel, SortsAFixedVector) {
 TEST(BitonicModel, TakesPipelineDepthCyclesBeforeDone) {
     BitonicHarness b{"n=16"};  // log2=4 -> 10 stages.
     for (std::size_t i = 0; i < 16; ++i) b.writeReg(8 * i, i);
-    b.writeReg(0x200, 1);
+    b.writeReg(0x300, 1);
     int cyclesToDone = 0;
     while (b.tick().done == 0) {
         ++cyclesToDone;
@@ -92,7 +95,7 @@ TEST(BitonicModel, TakesPipelineDepthCyclesBeforeDone) {
     EXPECT_GE(cyclesToDone, 8);   // ~stage count.
     EXPECT_LE(cyclesToDone, 12);
     // Status register reflects done.
-    EXPECT_EQ(b.readReg(0x208) & 2u, 2u);
+    EXPECT_EQ(b.readReg(0x308) & 2u, 2u);
 }
 
 TEST(BitonicModel, TracingIsUnsupportedOnTheGhdlPath) {
@@ -120,13 +123,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BitonicRandomSweep, ::testing::Values(2u, 4u, 8u
 TEST(BitonicModel, RejectsBadConfig) {
     // Non-power-of-two falls back to the default size rather than failing.
     BitonicHarness b{"n=3"};
-    EXPECT_EQ(b.readReg(0x210), 16u);
+    EXPECT_EQ(b.readReg(0x310), 16u);
 }
 
 // The wrapper and the compiled-model loader read "n=" through one helper:
-// whole comma-separated tokens, invalid values falling back to 16. (n=64 is
-// valid but not in the table: its output window 0x100 + 8*64 covers 0x210,
-// so register reads cannot report the count at that size.)
+// whole comma-separated tokens, invalid values falling back to 16.
 TEST(BitonicModel, WrapperAndLoaderAgreeOnElementCount) {
     const struct {
         const char* config;
@@ -136,15 +137,37 @@ TEST(BitonicModel, WrapperAndLoaderAgreeOnElementCount) {
         {"gain=2,n=8", 8}, {"n=4,gain=2", 4}, {"n=8x", 16},       {"n=12", 16},
         {"n=128", 16},     {"n=3", 16},       {"n=", 16},         {"xn=8", 16},
         {"n=-8", 16},      {"n= 8", 16},      {"n=8,n=4", 8},     {"gain=2", 16},
+        {"n=64", 64},      {"gain=2,n=64", 64},
     };
     for (const auto& c : cases) {
         SCOPED_TRACE(std::string{"config '"} + c.config + "'");
         BitonicHarness b{c.config};
-        EXPECT_EQ(b.readReg(0x210), c.n);
+        EXPECT_EQ(b.readReg(0x310), c.n);
         const std::string compiled =
             *c.config == '\0' ? "eval=compiled" : std::string{c.config} + ",eval=compiled";
         EXPECT_EQ(rtlModelPathForConfig("bitonic", compiled),
                   compiledNetlistModelPath("bitonic", c.n));
+    }
+}
+
+// At n=64 the output window 0x100 + 8*i ends at 0x2F8, just below the
+// control block: status and count stay readable on both the interpreted
+// wrapper and the one g5r netlistc emits.
+TEST(BitonicModel, StatusAndCountStayReadableAtN64) {
+    std::vector<std::int64_t> data(64);
+    Rng rng{64};
+    for (auto& v : data) v = static_cast<std::int64_t>(rng.below(10000)) - 5000;
+    auto expected = data;
+    std::sort(expected.begin(), expected.end());
+
+    BitonicHarness interpreted{"n=64"};
+    BitonicHarness compiled{SharedLibModel::load(compiledNetlistModelPath("bitonic", 64), "")};
+    for (BitonicHarness* b : {&interpreted, &compiled}) {
+        SCOPED_TRACE(b == &interpreted ? "interpreted" : "compiled bitonic_c64");
+        EXPECT_EQ(b->readReg(0x310), 64u);
+        EXPECT_EQ(b->sort(data), expected);
+        EXPECT_EQ(b->readReg(0x308), 2u);  // Done, not busy.
+        EXPECT_EQ(b->readReg(0x310), 64u);
     }
 }
 

@@ -1,37 +1,74 @@
-// HostProfiler: bucket classification, stride scaling, report invariants.
+// HostProfiler: buckets by declared host layer, stride scaling, report
+// invariants.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "exp/json.hh"
+#include "mem/cache/cache.hh"
+#include "mem/dma.hh"
+#include "mem/simple_mem.hh"
+#include "mem/spm.hh"
+#include "mem/xbar.hh"
 #include "obs/profiler.hh"
+#include "sim/simulation.hh"
 
 namespace g5r::obs {
 namespace {
 
-TEST(ClassifyBucket, MemoryTermsWinOverCoreAndRtl) {
-    // "system.cpu0.l1d" contains both a core term and a memory term; the
-    // memory system owns the caches.
-    EXPECT_EQ(classifyBucket("system.cpu0.l1d"), "memory");
-    EXPECT_EQ(classifyBucket("system.cpu0.l2"), "memory");
-    EXPECT_EQ(classifyBucket("system.membus"), "memory");
-    EXPECT_EQ(classifyBucket("system.noc"), "memory");
-    EXPECT_EQ(classifyBucket("system.llc3"), "memory");
-    EXPECT_EQ(classifyBucket("system.mem0.ch0"), "memory");
-    EXPECT_EQ(classifyBucket("system.nvdla0.scratchpad"), "memory");
+// Buckets follow each object's declared layer, not its name: the staged
+// path's DMA engine and scratchpad sit under an accelerator's name, yet
+// they are memory-system components.
+TEST(HostLayer, MemorySystemObjectsBucketAsMemory) {
+    Simulation sim;
+    BackingStore store;
+    const DmaEngine dma{sim, "system.nvdla0.dma", DmaEngine::Params{}};
+    const Spm spm{sim, "system.nvdla0.spm", Spm::Params{}};
+    const Xbar xbar{sim, "system.membus", Xbar::Params{}};
+    const Cache l1d{sim, "system.cpu0.l1d", CacheParams{}};
+    const SimpleMemory mem{sim, "system.mem0", SimpleMemory::Params{}, store};
+    const std::vector<const SimObject*> objects{&dma, &spm, &xbar, &l1d, &mem};
+    for (const SimObject* obj : objects) {
+        EXPECT_EQ(obj->hostLayer(), HostLayer::kMemory) << obj->name();
+    }
+
+    HostProfiler p{1};
+    for (const SimObject* obj : {objects[0], objects[1]}) {  // DMA, SPM
+        const int slot = p.addSlot(obj->name(), obj->hostLayer());
+        p.countDispatch(slot);
+        p.addSample(slot, 0.25);
+    }
+    p.addRunSeconds(1.0);
+    const auto buckets = p.report().buckets();
+    EXPECT_DOUBLE_EQ(buckets[0].seconds, 0.0);  // rtl
+    EXPECT_DOUBLE_EQ(buckets[1].seconds, 0.5);  // memory
 }
 
-TEST(ClassifyBucket, RtlAndCoreAndOther) {
-    EXPECT_EQ(classifyBucket("system.nvdla0"), "rtl");
-    EXPECT_EQ(classifyBucket("system.pmu0"), "rtl");
-    EXPECT_EQ(classifyBucket("system.bitonic0"), "rtl");
-    EXPECT_EQ(classifyBucket("system.cpu3"), "core");
-    EXPECT_EQ(classifyBucket("system.host0"), "core");
-    EXPECT_EQ(classifyBucket("(unattributed)"), "other");
-    EXPECT_EQ(classifyBucket("system.widget"), "other");
+TEST(HostLayer, UndeclaredObjectsAndSlotsBucketAsOther) {
+    Simulation sim;
+    const SimObject widget{sim, "system.nvdla0.widget"};
+    EXPECT_EQ(widget.hostLayer(), HostLayer::kOther);
+
+    HostProfiler p{1};
+    const int unattributed = p.addSlot("(unattributed)");
+    const int core = p.addSlot("system.scratchpad_walker", HostLayer::kCore);
+    p.countDispatch(unattributed);
+    p.addSample(unattributed, 0.125);
+    p.countDispatch(core);
+    p.addSample(core, 0.25);
+    p.addRunSeconds(1.0);
+    const ProfileReport rep = p.report();
+    const auto buckets = rep.buckets();
+    EXPECT_DOUBLE_EQ(buckets[1].seconds, 0.0);    // memory: names do not count
+    EXPECT_DOUBLE_EQ(buckets[2].seconds, 0.25);   // core
+    EXPECT_DOUBLE_EQ(buckets[3].seconds, 0.125);  // other
+    EXPECT_EQ(rep.entries[0].layer, HostLayer::kCore);
+    EXPECT_EQ(rep.entries[1].layer, HostLayer::kOther);
 }
 
 TEST(HostProfiler, StrideScalesSampledSecondsToAllDispatches) {
     HostProfiler p{4};
-    const int slot = p.addSlot("system.nvdla0");
+    const int slot = p.addSlot("system.nvdla0", HostLayer::kRtl);
     for (int i = 0; i < 8; ++i) p.countDispatch(slot);
     // With stride 4 only 2 of the 8 dispatches were actually timed.
     p.addSample(slot, 0.010);
@@ -57,8 +94,8 @@ TEST(HostProfiler, ZeroStrideIsTreatedAsOne) {
 
 TEST(HostProfiler, BucketsAlwaysSumToRunSeconds) {
     HostProfiler p{1};
-    const int rtl = p.addSlot("system.nvdla0");
-    const int mem = p.addSlot("system.membus");
+    const int rtl = p.addSlot("system.nvdla0", HostLayer::kRtl);
+    const int mem = p.addSlot("system.membus", HostLayer::kMemory);
     p.countDispatch(rtl);
     p.addSample(rtl, 0.30);
     p.countDispatch(mem);
@@ -85,7 +122,7 @@ TEST(HostProfiler, BucketsAlwaysSumToRunSeconds) {
 
 TEST(HostProfiler, QueueBucketClampsAtZeroWhenSamplingOverEstimates) {
     HostProfiler p{1};
-    const int slot = p.addSlot("system.nvdla0");
+    const int slot = p.addSlot("system.nvdla0", HostLayer::kRtl);
     p.countDispatch(slot);
     p.addSample(slot, 2.0);   // Attributed more than the run took.
     p.addRunSeconds(1.0);
@@ -113,7 +150,7 @@ TEST(HostProfiler, EntriesSortedByEstimatedSecondsDescending) {
 
 TEST(HostProfiler, ReportSerializesToParsableJson) {
     HostProfiler p{2};
-    const int slot = p.addSlot("system.membus");
+    const int slot = p.addSlot("system.membus", HostLayer::kMemory);
     p.countDispatch(slot);
     p.countDispatch(slot);
     p.addSample(slot, 0.004);
@@ -131,7 +168,7 @@ TEST(HostProfiler, ReportSerializesToParsableJson) {
 
 TEST(HostProfiler, TableMentionsBucketsAndObjects) {
     HostProfiler p{1};
-    const int slot = p.addSlot("system.nvdla0");
+    const int slot = p.addSlot("system.nvdla0", HostLayer::kRtl);
     p.countDispatch(slot);
     p.addSample(slot, 0.5);
     p.addRunSeconds(1.0);

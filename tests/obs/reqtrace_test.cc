@@ -1,6 +1,6 @@
 // Request-level causal tracing: sidecar format round-trip, the
 // sums-to-100% blame invariant, overlap precedence, in-memory mode, the
-// g5r-critpath CLI, and the ObsOptions environment overlay (including the
+// g5r critpath CLI, and the ObsOptions environment overlay (including the
 // combined multi-variable precedence case).
 #include <gtest/gtest.h>
 
@@ -226,23 +226,23 @@ TEST(ReqTrace, CritpathCliExitCodes) {
         session.finish(10'000);
     }
     {
-        const char* argv[] = {"g5r-critpath", "--assert-sum", path.c_str()};
+        const char* argv[] = {"critpath", "--assert-sum", path.c_str()};
         EXPECT_EQ(critpathCliMain(3, argv), 0);
     }
     {
-        const char* argv[] = {"g5r-critpath", "--json", path.c_str()};
+        const char* argv[] = {"critpath", "--json", path.c_str()};
         EXPECT_EQ(critpathCliMain(3, argv), 0);
     }
     {
-        const char* argv[] = {"g5r-critpath", "/no/such/file.reqtrace.jsonl"};
+        const char* argv[] = {"critpath", "/no/such/file.reqtrace.jsonl"};
         EXPECT_EQ(critpathCliMain(2, argv), 2);
     }
     {
-        const char* argv[] = {"g5r-critpath"};
+        const char* argv[] = {"critpath"};
         EXPECT_EQ(critpathCliMain(1, argv), 2);  // Usage.
     }
     {
-        const char* argv[] = {"g5r-critpath", "--bogus", path.c_str()};
+        const char* argv[] = {"critpath", "--bogus", path.c_str()};
         EXPECT_EQ(critpathCliMain(3, argv), 2);
     }
     std::remove(path.c_str());
@@ -256,7 +256,7 @@ TEST(ReqTrace, CritpathCliRejectsBadWaterfallCounts) {
         session.finish(10'000);
     }
     const auto run = [&path](const char* flag) {
-        const char* argv[] = {"g5r-critpath", flag, path.c_str()};
+        const char* argv[] = {"critpath", flag, path.c_str()};
         return critpathCliMain(3, argv);
     };
     EXPECT_EQ(run("--waterfall"), 0);

@@ -1,4 +1,4 @@
-// g5r-stats: diff semantics (the CI perf-regression gate), threshold
+// g5r stats: diff semantics (the CI perf-regression gate), threshold
 // resolution, structural-loss violations, CLI exit codes, and render smoke.
 #include <gtest/gtest.h>
 
@@ -138,12 +138,14 @@ TEST(StatsDiff, StructuralLossesAreViolations) {
     EXPECT_EQ(missingMetric.violations[0].note, "missing metric");
     EXPECT_EQ(missingMetric.violations[0].metric, "memLatencyP99");
 
-    // Current-only additions are fine (schemas may grow).
+    // New metric: a nonzero metric the baseline does not carry.
     exp::Json extraPoint = makePoint(1e6);
     extraPoint["memLatencyP999"] = 999999.0;
-    EXPECT_TRUE(diffBenchDocuments(base, docWithPoint(std::move(extraPoint)),
-                                   StatsDiffOptions{})
-                    .withinThresholds());
+    const StatsDiffReport newMetric = diffBenchDocuments(
+        base, docWithPoint(std::move(extraPoint)), StatsDiffOptions{});
+    ASSERT_EQ(newMetric.violations.size(), 1u);
+    EXPECT_EQ(newMetric.violations[0].note, "new metric");
+    EXPECT_EQ(newMetric.violations[0].metric, "memLatencyP999");
 
     // Bench name mismatch: not comparable at all.
     exp::Json other = benchDoc(1e6);
@@ -151,6 +153,37 @@ TEST(StatsDiff, StructuralLossesAreViolations) {
     const StatsDiffReport mismatch = diffBenchDocuments(base, other, StatsDiffOptions{});
     EXPECT_FALSE(mismatch.comparable);
     EXPECT_FALSE(mismatch.error.empty());
+}
+
+// Schema-3 points omit latency masters with no samples, so a master that
+// starts sampling appears only in the current document: a violation, never
+// a silent pass. A zero-valued current-only metric matches the omission.
+TEST(StatsDiff, NewNonzeroMetricsAreViolations) {
+    const exp::Json base = benchDoc(1e6);
+    const auto withMaster = [](std::uint64_t count) {
+        exp::Json point = makePoint(1e6);
+        exp::Json one = exp::Json::object();
+        one["count"] = count;
+        one["p50Ticks"] = count > 0 ? 1500.0 : 0.0;
+        point["memLatency"]["nvdla0.sramif"] = std::move(one);
+        return docWithPoint(std::move(point));
+    };
+    const StatsDiffReport grown = diffBenchDocuments(base, withMaster(7), StatsDiffOptions{});
+    ASSERT_EQ(grown.violations.size(), 2u);
+    for (const StatsDiffViolation& v : grown.violations) {
+        EXPECT_EQ(v.note, "new metric");
+        EXPECT_EQ(v.metric.rfind("memLatency.nvdla0.sramif.", 0), 0u) << v.metric;
+    }
+    EXPECT_EQ(grown.violations[0].current, 7.0);
+    EXPECT_NE(formatStatsDiffReport(grown, "b", "c").find("VIOLATION new metric"),
+              std::string::npos);
+
+    // Excluded and zero-valued current-only leaves pass.
+    EXPECT_TRUE(diffBenchDocuments(base, withMaster(0), StatsDiffOptions{}).withinThresholds());
+    exp::Json hostOnly = makePoint(1e6);
+    hostOnly["profileBuckets"]["rtl"] = 0.5;
+    EXPECT_TRUE(diffBenchDocuments(base, docWithPoint(std::move(hostOnly)), StatsDiffOptions{})
+                    .withinThresholds());
 }
 
 MetricsTimeline timelineOf(double finalReads, double finalP99) {
@@ -198,7 +231,7 @@ TEST(StatsCli, DiffExitCodesMatchTheGateContract) {
     const std::string worsePath = writeDoc("cli_worse.json", benchDoc(1.6e6));
 
     const auto run = [](std::vector<const char*> argv) {
-        argv.insert(argv.begin(), "g5r-stats");
+        argv.insert(argv.begin(), "stats");
         return statsCliMain(static_cast<int>(argv.size()), argv.data());
     };
 
@@ -221,7 +254,7 @@ TEST(StatsCli, NumericOptionsAreParsedWholeAndRangeChecked) {
     const std::string basePath = writeDoc("num_base.json", benchDoc(1e6));
     const std::string worsePath = writeDoc("num_worse.json", benchDoc(1.6e6));
     const auto run = [&](std::vector<const char*> extra) {
-        std::vector<const char*> argv{"g5r-stats", "diff", basePath.c_str(),
+        std::vector<const char*> argv{"stats", "diff", basePath.c_str(),
                                       worsePath.c_str()};
         argv.insert(argv.end(), extra.begin(), extra.end());
         return statsCliMain(static_cast<int>(argv.size()), argv.data());
@@ -241,7 +274,7 @@ TEST(StatsCli, NumericOptionsAreParsedWholeAndRangeChecked) {
                                    "{\"t\":1000,\"d\":{\"mem.numReads\":50}}\n"
                                    "{\"end\":1000,\"samples\":1}\n";
     const auto timeline = [&](const char* max) {
-        std::vector<const char*> argv{"g5r-stats", "timeline", timelinePath.c_str(), "--max",
+        std::vector<const char*> argv{"stats", "timeline", timelinePath.c_str(), "--max",
                                       max};
         return statsCliMain(static_cast<int>(argv.size()), argv.data());
     };
@@ -259,7 +292,7 @@ TEST(StatsCli, MetricWithoutValueTakesTheFinalDefault) {
     const std::string basePath = writeDoc("order_base.json", benchDoc(1e6));
     const std::string worsePath = writeDoc("order_worse.json", benchDoc(1.6e6));
     const auto run = [&](std::vector<const char*> extra) {
-        std::vector<const char*> argv{"g5r-stats", "diff", basePath.c_str(),
+        std::vector<const char*> argv{"stats", "diff", basePath.c_str(),
                                       worsePath.c_str()};
         argv.insert(argv.end(), extra.begin(), extra.end());
         return statsCliMain(static_cast<int>(argv.size()), argv.data());

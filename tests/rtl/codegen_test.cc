@@ -1,6 +1,6 @@
 // Compiled netlist backend conformance: every NetOp, across the interesting
 // widths, must evaluate identically under dirty-bit interpretation,
-// levelized interpretation, and the g5r-netlistc generated native code —
+// levelized interpretation, and the g5r netlistc generated native code —
 // loaded through the raw-kernel face of the emitted library, i.e. the same
 // dlopen path the simulator uses.
 //

@@ -3,9 +3,11 @@
 // paper-shaped results at single points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 
 #include "obs/profiler.hh"
@@ -267,6 +269,61 @@ TEST(Experiments, EverySocDispatchIsChargedToItsOwner) {
     EXPECT_EQ(unattributedDispatches(*result.profile), 0u);
     EXPECT_TRUE(hasEntry(*result.profile, "system.pmu"));
     EXPECT_TRUE(hasEntry(*result.profile, "system.pmu_observer"));
+}
+
+/// Every listed object dispatched and is charged to its listed layer.
+void expectLayers(const obs::ProfileReport& report,
+                  const std::map<std::string, HostLayer>& expected) {
+    for (const auto& [name, layer] : expected) {
+        const auto it = std::find_if(report.entries.begin(), report.entries.end(),
+                                     [&name](const auto& e) { return e.name == name; });
+        ASSERT_NE(it, report.entries.end()) << name;
+        EXPECT_EQ(it->layer, layer) << name;
+    }
+}
+
+// Profile buckets follow each component's type, not its name: on the dmaSpm
+// path the DMA engine, scratchpad and staging bus live under
+// "system.nvdla0." yet are memory-system time, so the rtl bucket holds the
+// accelerator alone.
+TEST(Experiments, ProfileBucketsFollowComponentTypes) {
+    experiments::DseRunConfig dse;
+    dse.shape.width = dse.shape.height = 8;
+    dse.shape.inChannels = dse.shape.outChannels = 16;
+    dse.shape.filterH = dse.shape.filterW = 3;
+    dse.workloadName = "layers";
+    dse.memTech = MemTech::kDdr4_1ch;
+    dse.memPath = MemPath::kDmaSpm;
+    dse.maxInflight = 8;
+    dse.numAccelerators = 1;
+    dse.numCores = 0;
+    dse.obs.profileEnabled = true;
+    const auto staged = experiments::runNvdlaDse(dse);
+    ASSERT_TRUE(staged.completed);
+    ASSERT_NE(staged.profile, nullptr);
+    const obs::ProfileReport& report = *staged.profile;
+    expectLayers(report, {{"system.nvdla0", HostLayer::kRtl},
+                          {"system.nvdla0.dma", HostLayer::kMemory},
+                          {"system.nvdla0.spm", HostLayer::kMemory},
+                          {"system.host0", HostLayer::kCore}});
+    double nvdlaSeconds = 0.0;
+    for (const auto& e : report.entries) {
+        if (e.name == "system.nvdla0") nvdlaSeconds = e.estimatedSeconds;
+    }
+    EXPECT_NEAR(report.buckets()[0].seconds, nvdlaSeconds, 1e-12);
+
+    experiments::PmuRunConfig pmu;
+    pmu.layout.baseElems = 40;
+    pmu.layout.sleepNs = 5'000;
+    pmu.numCores = 1;
+    pmu.obs.profileEnabled = true;
+    const auto sorted = experiments::runPmuSortExperiment(pmu);
+    ASSERT_TRUE(sorted.completed);
+    ASSERT_NE(sorted.profile, nullptr);
+    expectLayers(*sorted.profile, {{"system.pmu", HostLayer::kRtl},
+                                   {"system.pmu_observer", HostLayer::kCore},
+                                   {"system.cpu0", HostLayer::kCore},
+                                   {"system.cpu0.l1d", HostLayer::kMemory}});
 }
 
 TEST(Experiments, DsePointIdealBeatsNarrowDdr4) {
