@@ -99,23 +99,14 @@ std::string renderWaterfall(const std::vector<ReqRecord>& records,
         const RequestBlame& root = blame.roots[r];
         std::string strip(width, '.');
         if (root.total() > 0) {
-            std::vector<ReqSpan> spans;
-            tree.forEachClampedSpan(root.record, root.begin, root.end,
-                                    [&spans](ReqSpan span) { spans.push_back(span); });
+            const StageCovers covers = stageCovers(tree, root.record, root.begin, root.end);
             const double ticksPerCol =
                 static_cast<double>(root.total()) / static_cast<double>(width);
             for (std::size_t c = 0; c < width; ++c) {
                 const Tick mid = root.begin +
                                  static_cast<Tick>((static_cast<double>(c) + 0.5) *
                                                    ticksPerCol);
-                const ReqSpan* best = nullptr;
-                for (const ReqSpan& span : spans) {
-                    if (span.begin <= mid && mid < span.end &&
-                        (best == nullptr || blameRank(span.stage) > blameRank(best->stage))) {
-                        best = &span;
-                    }
-                }
-                if (best != nullptr) strip[c] = reqStageGlyph(best->stage);
+                if (const auto stage = covers.owner(mid)) strip[c] = reqStageGlyph(*stage);
             }
         }
         out += formatLine("#%-5llu %-12s |%s| %llu ticks\n",
@@ -201,9 +192,11 @@ int critpathCliMain(int argc, const char* const* argv) {
     if (!args.readUnsigned("--waterfall", waterfallCount)) return 2;
     const std::string path = args.positionals()[0];
 
+    const auto text = tools::readInputFile(kCritpath.tool, path);
+    if (!text) return 2;
     ReqTraceFile file;
     try {
-        file = readReqTrace(path);
+        file = parseReqTrace(*text, path);
     } catch (const std::exception& e) {
         std::cerr << kCritpath.tool << ": " << e.what() << '\n';
         return 2;

@@ -86,10 +86,8 @@ void MetricsSession::finish(Tick finalTick) {
 
 // ---------------------------------------------------------------- reading --
 
-MetricsTimeline readMetricsTimeline(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open metrics timeline: " + path);
-
+MetricsTimeline parseMetricsTimeline(const std::string& text, const std::string& source) {
+    std::istringstream in{text};
     MetricsTimeline tl;
     std::string lineText;
     std::size_t lineNo = 0;
@@ -102,12 +100,12 @@ MetricsTimeline readMetricsTimeline(const std::string& path) {
             line = exp::Json::parse(lineText);
         } catch (const std::exception& e) {
             std::ostringstream err;
-            err << path << ":" << lineNo << ": bad JSONL line: " << e.what();
+            err << source << ":" << lineNo << ": bad JSONL line: " << e.what();
             throw std::runtime_error(err.str());
         }
         if (!sawHeader) {
             if (!line.isObject() || !line.contains("g5rMetrics")) {
-                throw std::runtime_error(path + ": not a g5r metrics timeline (bad header)");
+                throw std::runtime_error(source + ": not a g5r metrics timeline (bad header)");
             }
             tl.schema = static_cast<int>(line.at("schema").asInt());
             if (line.contains("run")) tl.run = line.at("run").asString();
@@ -129,8 +127,16 @@ MetricsTimeline readMetricsTimeline(const std::string& path) {
             }
         }
     }
-    if (!sawHeader) throw std::runtime_error(path + ": empty metrics timeline");
+    if (!sawHeader) throw std::runtime_error(source + ": empty metrics timeline");
     return tl;
+}
+
+MetricsTimeline readMetricsTimeline(const std::string& path) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("cannot open metrics timeline: " + path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return parseMetricsTimeline(text.str(), path);
 }
 
 std::vector<std::string> MetricsTimeline::channels() const {

@@ -132,8 +132,12 @@ struct MetricsTimeline {
     double finalValue(std::string_view channel) const;
 };
 
-/// Parse a timeline written by MetricsSession. Throws std::runtime_error on
-/// unreadable files or malformed lines.
+/// Parse the text of a timeline written by MetricsSession; @p source labels
+/// error messages. Throws std::runtime_error on malformed lines.
+MetricsTimeline parseMetricsTimeline(const std::string& text, const std::string& source);
+
+/// parseMetricsTimeline over the file at @p path. Throws std::runtime_error
+/// on unreadable files or malformed lines.
 MetricsTimeline readMetricsTimeline(const std::string& path);
 
 }  // namespace g5r::obs

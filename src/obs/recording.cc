@@ -28,10 +28,8 @@ const std::string& Recording::objectName(int slot) const {
     return objectNames[static_cast<std::size_t>(slot)];
 }
 
-Recording Recording::load(const std::string& path) {
-    std::ifstream in{path};
-    if (!in) throw std::runtime_error(path + ": cannot open recording");
-
+Recording Recording::parse(const std::string& text, const std::string& source) {
+    std::istringstream in{text};
     Recording rec;
     std::string line;
     std::size_t lineNo = 0;
@@ -47,7 +45,7 @@ Recording Recording::load(const std::string& path) {
         if (!sawHeader) {
             unsigned version = 0;
             if (tag != "g5rec" || !(ls >> version) || version != 1) {
-                parseError(path, lineNo, "not a g5rec version-1 recording");
+                parseError(source, lineNo, "not a g5rec version-1 recording");
             }
             sawHeader = true;
             continue;
@@ -57,35 +55,35 @@ Recording Recording::load(const std::string& path) {
             // Rest of line verbatim (label may contain anything but '\n').
             std::getline(ls >> std::ws, rec.runLabel);
         } else if (tag == "interval") {
-            if (!(ls >> rec.intervalTicks)) parseError(path, lineNo, "bad interval line");
+            if (!(ls >> rec.intervalTicks)) parseError(source, lineNo, "bad interval line");
         } else if (tag == "iv") {
             IntervalRecord iv;
             std::string dDig, dCum, pDig, pCum;
             if (!(ls >> iv.index >> iv.startTick >> iv.dispatchCount >> dDig >> dCum >>
                   iv.packetCount >> pDig >> pCum)) {
-                parseError(path, lineNo, "bad iv line");
+                parseError(source, lineNo, "bad iv line");
             }
             iv.dispatchDigest = parseHex(dDig);
             iv.cumDispatchDigest = parseHex(dCum);
             iv.packetDigest = parseHex(pDig);
             iv.cumPacketDigest = parseHex(pCum);
             if (!rec.intervals.empty() && rec.intervals.back().index >= iv.index) {
-                parseError(path, lineNo, "iv indices not strictly increasing");
+                parseError(source, lineNo, "iv indices not strictly increasing");
             }
             rec.intervals.push_back(std::move(iv));
         } else if (tag == "ob") {
-            if (rec.intervals.empty()) parseError(path, lineNo, "ob line before any iv line");
+            if (rec.intervals.empty()) parseError(source, lineNo, "ob line before any iv line");
             ObjEntry e;
             std::string dig;
             if (!(ls >> e.slot >> e.count >> dig >> e.firstTick)) {
-                parseError(path, lineNo, "bad ob line");
+                parseError(source, lineNo, "bad ob line");
             }
             e.digest = parseHex(dig);
             rec.intervals.back().objects.push_back(std::move(e));
         } else if (tag == "obj") {
             int slot = 0;
             std::string name;
-            if (!(ls >> slot) || slot < 0) parseError(path, lineNo, "bad obj line");
+            if (!(ls >> slot) || slot < 0) parseError(source, lineNo, "bad obj line");
             std::getline(ls >> std::ws, name);
             if (static_cast<std::size_t>(slot) >= rec.objectNames.size()) {
                 rec.objectNames.resize(static_cast<std::size_t>(slot) + 1);
@@ -94,7 +92,7 @@ Recording Recording::load(const std::string& path) {
         } else if (tag == "bb") {
             BlackBoxEntry e;
             if (!(ls >> e.seq >> e.kind >> e.tick >> e.slot)) {
-                parseError(path, lineNo, "bad bb line");
+                parseError(source, lineNo, "bad bb line");
             }
             std::getline(ls >> std::ws, e.text);
             rec.blackBox.push_back(std::move(e));
@@ -102,18 +100,26 @@ Recording Recording::load(const std::string& path) {
             std::string dCum, pCum;
             if (!(ls >> rec.finalTick >> rec.totalDispatches >> rec.totalPackets >> dCum >>
                   pCum)) {
-                parseError(path, lineNo, "bad end line");
+                parseError(source, lineNo, "bad end line");
             }
             rec.finalDispatchDigest = parseHex(dCum);
             rec.finalPacketDigest = parseHex(pCum);
             rec.hasEnd = true;
         } else {
-            parseError(path, lineNo, "unknown record tag '" + tag + "'");
+            parseError(source, lineNo, "unknown record tag '" + tag + "'");
         }
     }
-    if (!sawHeader) throw std::runtime_error(path + ": empty recording");
-    if (rec.intervalTicks == 0) throw std::runtime_error(path + ": missing interval line");
+    if (!sawHeader) throw std::runtime_error(source + ": empty recording");
+    if (rec.intervalTicks == 0) throw std::runtime_error(source + ": missing interval line");
     return rec;
+}
+
+Recording Recording::load(const std::string& path) {
+    std::ifstream in{path};
+    if (!in) throw std::runtime_error(path + ": cannot open recording");
+    std::ostringstream text;
+    text << in.rdbuf();
+    return parse(text.str(), path);
 }
 
 }  // namespace g5r::obs

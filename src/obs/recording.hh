@@ -112,8 +112,12 @@ struct Recording {
 
     const std::string& objectName(int slot) const;
 
-    /// Parse @p path. Throws std::runtime_error with a line-numbered message
-    /// on malformed input or an unreadable file.
+    /// Parse the text of a recording; @p source labels error messages. Throws
+    /// std::runtime_error with a line-numbered message on malformed input.
+    static Recording parse(const std::string& text, const std::string& source);
+
+    /// parse() over the file at @p path. Throws std::runtime_error on
+    /// malformed input or an unreadable file.
     static Recording load(const std::string& path);
 };
 

@@ -1,6 +1,7 @@
 #include "obs/reqtrace.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -43,29 +44,45 @@ void ReqTraceSession::onEnd(ReqId id, Tick when) {
     rec.ended = true;
 }
 
+namespace {
+
+/// The canonical span order: (begin, stage, end).
+bool spanLess(const ReqSpan& a, const ReqSpan& b) {
+    if (a.begin != b.begin) return a.begin < b.begin;
+    if (a.stage != b.stage) return a.stage < b.stage;
+    return a.end < b.end;
+}
+
+}  // namespace
+
 void ReqTraceSession::onSpan(ReqId id, ReqStage stage, Tick begin, Tick end) {
     if (id == 0 || end <= begin) return;
-    records_[slotFor(id)].spans.push_back(ReqSpan{stage, begin, end});
+    // Spans mostly arrive in canonical order or close behind it (a queue's
+    // span is reported when it drains, after younger spans began); they are
+    // inserted in place, so the records never need a post-run sort. The
+    // search gallops back from the end, so it costs the log of how far back
+    // the span goes, not of the record's size.
+    std::vector<ReqSpan>& spans = records_[slotFor(id)].spans;
+    const ReqSpan span{stage, begin, end};
+    auto first = spans.end();
+    auto last = first;  // [last, end) all sort after span.
+    for (std::ptrdiff_t step = 1; first != spans.begin() && spanLess(span, first[-1]); step *= 2) {
+        last = first - 1;
+        first -= std::min(step, first - spans.begin());
+    }
+    spans.insert(std::upper_bound(first, last, span, spanLess), span);
 }
 
 void ReqTraceSession::finish(Tick finalTick) {
     if (finished_) return;
     finished_ = true;
 
-    // Canonicalize: ID-ordered records, (begin, stage, end)-ordered spans.
-    // This erases callback-arrival order, which is the only host-order
-    // dependent thing about the collection, so the serialized sidecar is
-    // identical across --jobs counts and idle-tick gating.
+    // Spans are already canonical (onSpan); ordering the records by ID
+    // erases the last of the callback-arrival order, which is the only
+    // host-order dependent thing about the collection, so the serialized
+    // sidecar is identical across --jobs counts and idle-tick gating.
     std::sort(records_.begin(), records_.end(),
               [](const ReqRecord& a, const ReqRecord& b) { return a.id < b.id; });
-    for (ReqRecord& rec : records_) {
-        std::sort(rec.spans.begin(), rec.spans.end(),
-                  [](const ReqSpan& a, const ReqSpan& b) {
-                      if (a.begin != b.begin) return a.begin < b.begin;
-                      if (a.stage != b.stage) return a.stage < b.stage;
-                      return a.end < b.end;
-                  });
-    }
 
     if (path_.empty()) return;  // In-memory mode.
     std::ofstream out(path_, std::ios::out | std::ios::trunc);
@@ -146,31 +163,98 @@ std::vector<std::size_t> RequestTree::subtree(std::size_t root) const {
 
 namespace {
 
-/// Blame precedence: higher rank wins where spans overlap. Ownership first:
-/// a tick inside a DMA descriptor's lifetime is staging (or drain) work no
-/// matter which downstream queue the bytes sit in, and an RTL read stalled
-/// on an SPM miss is an spmFill tick even while the fill occupies DRAM.
-/// Below those owners the deepest shared memory resource wins (dramService
-/// over xbarQueue), then the catch-all host/compute windows.
-constexpr std::array<int, kNumReqStages> kStageRank = {
-    /* hostLoad    */ 1,
-    /* dmaStage    */ 6,
-    /* spmFill     */ 4,
-    /* xbarQueue   */ 2,
-    /* dramService */ 3,
-    /* rtlCompute  */ 0,
-    /* drain       */ 5,
+/// Blame precedence, highest first: where spans overlap, the earlier stage
+/// takes the tick. Ownership first: a tick inside a DMA descriptor's
+/// lifetime is staging (or drain) work no matter which downstream queue the
+/// bytes sit in, and an RTL read stalled on an SPM miss is an spmFill tick
+/// even while the fill occupies DRAM. Below those owners the deepest shared
+/// memory resource wins (dramService over xbarQueue), then the catch-all
+/// host/compute windows.
+constexpr std::array<ReqStage, kNumReqStages> kBlameOrder = {
+    ReqStage::kDmaStage,   ReqStage::kDrain,     ReqStage::kSpmFill,
+    ReqStage::kDramService, ReqStage::kXbarQueue, ReqStage::kHostLoad,
+    ReqStage::kRtlCompute,
 };
 
-struct SweepEvent {
-    Tick tick;
-    unsigned stage;
-    int delta;  ///< +1 span opens, -1 span closes.
-};
+/// Add @p iv to the cover @p c, whose intervals all begin at or before it.
+void extend(Cover& c, Interval iv) {
+    if (!c.empty() && iv.begin <= c.back().end) {
+        c.back().end = std::max(c.back().end, iv.end);
+    } else {
+        c.push_back(iv);
+    }
+}
+
+/// a ∪ b, by a two-pointer merge.
+Cover unite(const Cover& a, const Cover& b) {
+    Cover out;
+    out.reserve(a.size() + b.size());
+    auto ia = a.begin();
+    auto ib = b.begin();
+    while (ia != a.end() || ib != b.end()) {
+        const bool takeA = ib == b.end() || (ia != a.end() && ia->begin <= ib->begin);
+        extend(out, takeA ? *ia++ : *ib++);
+    }
+    return out;
+}
+
+/// The union of @p covers, merged pairwise so k covers of n intervals in
+/// all cost O(n log k).
+Cover uniteAll(std::vector<Cover> covers) {
+    if (covers.empty()) return {};
+    while (covers.size() > 1) {
+        const std::size_t n = covers.size();
+        for (std::size_t i = 0; i < n; i += 2) {
+            covers[i / 2] = i + 1 < n ? unite(covers[i], covers[i + 1]) : std::move(covers[i]);
+        }
+        covers.resize((n + 1) / 2);
+    }
+    return std::move(covers[0]);
+}
+
+Tick measure(const Cover& c) {
+    Tick sum = 0;
+    for (const Interval& iv : c) sum += iv.end - iv.begin;
+    return sum;
+}
 
 }  // namespace
 
-int blameRank(ReqStage stage) { return kStageRank[static_cast<unsigned>(stage)]; }
+std::optional<ReqStage> StageCovers::owner(Tick tick) const {
+    for (const ReqStage stage : kBlameOrder) {
+        const Cover& c = byStage[static_cast<unsigned>(stage)];
+        const auto after = std::upper_bound(
+            c.begin(), c.end(), tick, [](Tick t, const Interval& iv) { return t < iv.begin; });
+        if (after != c.begin() && tick < std::prev(after)->end) return stage;
+    }
+    return std::nullopt;
+}
+
+StageCovers stageCovers(const RequestTree& tree, std::size_t root, Tick begin, Tick end) {
+    const auto byBegin = [](const ReqSpan& a, const ReqSpan& b) { return a.begin < b.begin; };
+    std::array<std::vector<Cover>, kNumReqStages> parts;  // Per stage: one cover per record.
+    std::vector<ReqSpan> sorted;
+    for (const std::size_t idx : tree.subtree(root)) {
+        const std::vector<ReqSpan>* spans = &tree.records[idx].spans;
+        if (!std::is_sorted(spans->begin(), spans->end(), byBegin)) {
+            sorted = *spans;
+            std::sort(sorted.begin(), sorted.end(), byBegin);
+            spans = &sorted;
+        }
+        std::array<Cover, kNumReqStages> own;
+        for (const ReqSpan& span : *spans) {
+            const Tick b = std::max(span.begin, begin);
+            const Tick e = std::min(span.end, end);
+            if (e > b) extend(own[static_cast<unsigned>(span.stage)], Interval{b, e});
+        }
+        for (unsigned s = 0; s < kNumReqStages; ++s) {
+            if (!own[s].empty()) parts[s].push_back(std::move(own[s]));
+        }
+    }
+    StageCovers covers;
+    for (unsigned s = 0; s < kNumReqStages; ++s) covers.byStage[s] = uniteAll(std::move(parts[s]));
+    return covers;
+}
 
 BlameSummary computeBlame(const std::vector<ReqRecord>& records) {
     BlameSummary summary;
@@ -197,47 +281,23 @@ BlameSummary computeBlame(const std::vector<ReqRecord>& records) {
         }
         blame.end = effectiveEnd;
 
-        std::vector<SweepEvent> events;
-        tree.forEachClampedSpan(rootIdx, blame.begin, effectiveEnd, [&events](ReqSpan span) {
-            const auto stage = static_cast<unsigned>(span.stage);
-            events.push_back(SweepEvent{span.begin, stage, +1});
-            events.push_back(SweepEvent{span.end, stage, -1});
-        });
-
-        // Sweep line over [begin, effectiveEnd]: within each elementary
-        // interval the highest-ranked open stage takes the blame; with no
-        // open span the ticks are unattributed.
-        std::sort(events.begin(), events.end(), [](const SweepEvent& a, const SweepEvent& b) {
-            return a.tick < b.tick;
-        });
-        std::array<int, kNumReqStages> open{};
-        Tick cursor = blame.begin;
-        std::size_t i = 0;
-        auto accumulate = [&](Tick upTo) {
-            if (upTo <= cursor) return;
-            int best = -1;
-            for (unsigned s = 0; s < kNumReqStages; ++s) {
-                if (open[s] > 0 && (best < 0 || kStageRank[s] > kStageRank[best])) {
-                    best = static_cast<int>(s);
-                }
-            }
-            const Tick len = upTo - cursor;
-            if (best >= 0) {
-                blame.stageTicks[static_cast<std::size_t>(best)] += len;
-            } else {
-                blame.unattributed += len;
-            }
-            cursor = upTo;
-        };
-        while (i < events.size()) {
-            accumulate(std::min(events[i].tick, effectiveEnd));
-            const Tick t = events[i].tick;
-            while (i < events.size() && events[i].tick == t) {
-                open[events[i].stage] += events[i].delta;
-                ++i;
-            }
+        // Claim stages in precedence order: each takes the ticks of its
+        // cover that no higher-ranked stage claimed before it, so every tick
+        // goes to the highest-ranked stage covering it, and the ticks no
+        // span covers are unattributed.
+        const StageCovers covers = stageCovers(tree, rootIdx, blame.begin, effectiveEnd);
+        Cover claimed;
+        Tick claimedTicks = 0;
+        for (const ReqStage stage : kBlameOrder) {
+            const Cover& c = covers.byStage[static_cast<unsigned>(stage)];
+            if (c.empty()) continue;
+            claimed = unite(claimed, c);
+            const Tick now = measure(claimed);
+            blame.stageTicks[static_cast<unsigned>(stage)] = now - claimedTicks;
+            claimedTicks = now;
         }
-        accumulate(effectiveEnd);
+        const Tick window = effectiveEnd > blame.begin ? effectiveEnd - blame.begin : 0;
+        blame.unattributed = window - claimedTicks;
 
         for (unsigned s = 0; s < kNumReqStages; ++s) summary.stageTicks[s] += blame.stageTicks[s];
         summary.unattributed += blame.unattributed;
@@ -249,10 +309,8 @@ BlameSummary computeBlame(const std::vector<ReqRecord>& records) {
 
 // ---------------------------------------------------------------- reading --
 
-ReqTraceFile readReqTrace(const std::string& path) {
-    std::ifstream in(path);
-    if (!in) throw std::runtime_error("cannot open request trace: " + path);
-
+ReqTraceFile parseReqTrace(const std::string& text, const std::string& source) {
+    std::istringstream in{text};
     ReqTraceFile file;
     std::string lineText;
     std::size_t lineNo = 0;
@@ -265,12 +323,12 @@ ReqTraceFile readReqTrace(const std::string& path) {
             line = exp::Json::parse(lineText);
         } catch (const std::exception& e) {
             std::ostringstream err;
-            err << path << ":" << lineNo << ": bad JSONL line: " << e.what();
+            err << source << ":" << lineNo << ": bad JSONL line: " << e.what();
             throw std::runtime_error(err.str());
         }
         if (!sawHeader) {
             if (!line.isObject() || !line.contains("g5rReqTrace")) {
-                throw std::runtime_error(path + ": not a g5r request trace (bad header)");
+                throw std::runtime_error(source + ": not a g5r request trace (bad header)");
             }
             file.schema = static_cast<int>(line.at("schema").asInt());
             if (line.contains("run")) file.run = line.at("run").asString();
@@ -288,11 +346,15 @@ ReqTraceFile readReqTrace(const std::string& path) {
             Tick prevBegin = rec.beginTick;
             for (const exp::Json& triple : line.at("spans").items()) {
                 const auto& parts = triple.items();
-                const auto stage = static_cast<ReqStage>(parts.at(0).asInt());
+                const std::int64_t stage = parts.at(0).asInt();
+                if (stage < 0 || stage >= static_cast<std::int64_t>(kNumReqStages)) {
+                    throw std::runtime_error(source + ":" + std::to_string(lineNo) +
+                                             ": bad stage index " + std::to_string(stage));
+                }
                 const Tick begin = static_cast<Tick>(static_cast<std::int64_t>(prevBegin) +
                                                      parts.at(1).asInt());
                 const Tick dur = static_cast<Tick>(parts.at(2).asInt());
-                rec.spans.push_back(ReqSpan{stage, begin, begin + dur});
+                rec.spans.push_back(ReqSpan{static_cast<ReqStage>(stage), begin, begin + dur});
                 prevBegin = begin;
             }
             file.records.push_back(std::move(rec));
@@ -303,8 +365,16 @@ ReqTraceFile readReqTrace(const std::string& path) {
             }
         }
     }
-    if (!sawHeader) throw std::runtime_error(path + ": empty request trace");
+    if (!sawHeader) throw std::runtime_error(source + ": empty request trace");
     return file;
+}
+
+ReqTraceFile readReqTrace(const std::string& path) {
+    std::ifstream in(path);
+    if (!in) throw std::runtime_error("cannot open request trace: " + path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return parseReqTrace(text.str(), path);
 }
 
 }  // namespace g5r::obs

@@ -16,14 +16,16 @@
 //             "spans":[[<stageIdx>,<beginDelta>,<durTicks>],...]}
 //   footer   {"end":<tick>,"requests":<count>}
 //
-// Requests are written in ID order; spans are sorted by (begin, stage, end)
-// and their begin ticks delta-encoded (first against the request's "b",
-// then against the previous span's begin). Nothing host-dependent is ever
-// written and the canonical sort erases callback-arrival order, so sidecars
-// of the same run are byte-identical at any --jobs count and across
-// idle-tick gating (spans carry simulated time only). "e" is 0 for a
-// request that never saw requestEnd (run cut short); the analysis derives
-// an effective end from the span tree.
+// Requests are written in ID order; spans in (begin, stage, end) order,
+// their begin ticks delta-encoded (first against the request's "b", then
+// against the previous span's begin). onSpan keeps every record's spans in
+// that canonical order as they arrive (an append, or an in-place insert for
+// a span reported late), so finish() only orders the records by ID. Nothing
+// host-dependent is ever written and the canonical order erases
+// callback-arrival order, so sidecars of the same run are byte-identical at
+// any --jobs count and across idle-tick gating (spans carry simulated time
+// only). "e" is 0 for a request that never saw requestEnd (run cut short);
+// the analysis derives an effective end from the span tree.
 //
 // The critical-path analysis (computeBlame) attributes every tick of a root
 // request's [begin, effectiveEnd] window to exactly one stage: overlapping
@@ -31,16 +33,18 @@
 // (dmaStage > drain > spmFill > dramService > xbarQueue > hostLoad >
 // rtlCompute — work owner first, then deepest shared memory resource), and
 // uncovered ticks land in an "unattributed" bucket, so per-stage shares sum
-// to exactly 100% of end-to-end ticks by construction. The request tree,
-// its clamped subtree-span walk and the precedence are defined once, here;
-// g5r critpath's waterfall and ObsSession's Perfetto request tracks reuse
-// them.
+// to exactly 100% of end-to-end ticks by construction. It works on per-stage
+// covers (the union of a stage's subtree spans, clamped to the window), built
+// in one pass over the begin-ordered spans, so it is linear in the number of
+// spans. The request tree, the covers and the precedence are defined once,
+// here; g5r critpath's waterfall and ObsSession's Perfetto request tracks
+// reuse them.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,12 +94,13 @@ public:
     void onEnd(ReqId id, Tick when) override;
     void onSpan(ReqId id, ReqStage stage, Tick begin, Tick end) override;
 
-    /// Sort records canonically and (in file mode) write the sidecar.
+    /// Order records by ID and (in file mode) write the sidecar.
     /// Idempotent; also run by the destructor.
     void finish(Tick finalTick);
 
-    /// The collected records, canonical after finish(). Valid in both file
-    /// and in-memory mode.
+    /// The collected records, each with canonically ordered spans at all
+    /// times; the records themselves are ID-ordered after finish(). Valid in
+    /// both file and in-memory mode.
     const std::vector<ReqRecord>& data() const { return records_; }
 
 private:
@@ -120,28 +125,34 @@ struct RequestTree {
     /// Record indices of @p root's subtree, @p root first.
     std::vector<std::size_t> subtree(std::size_t root) const;
 
-    /// Call @p fn with every span of @p root's subtree, clamped to
-    /// [begin, end); spans that clamp to nothing are skipped.
-    template <typename Fn>
-    void forEachClampedSpan(std::size_t root, Tick begin, Tick end, Fn&& fn) const {
-        for (const std::size_t idx : subtree(root)) {
-            for (const ReqSpan& span : records[idx].spans) {
-                const Tick b = std::max(span.begin, begin);
-                const Tick e = std::min(span.end, end);
-                if (e > b) fn(ReqSpan{span.stage, b, e});
-            }
-        }
-    }
-
     const std::vector<ReqRecord>& records;
     std::vector<std::vector<std::size_t>> children;  ///< Per record.
     std::vector<std::size_t> roots;                  ///< In record order.
     std::vector<std::size_t> owningRoot;  ///< Per record: its tree's root.
 };
 
-/// Blame precedence of @p stage: where spans overlap, the stage with the
-/// higher rank takes the tick (see the header comment for the order).
-int blameRank(ReqStage stage);
+/// One half-open tick interval [begin, end).
+struct Interval {
+    Tick begin;
+    Tick end;
+};
+
+/// A disjoint, begin-ordered list of non-empty intervals.
+using Cover = std::vector<Interval>;
+
+/// Where each stage was active inside one root request's window.
+struct StageCovers {
+    std::array<Cover, kNumReqStages> byStage;
+
+    /// The highest-precedence stage whose cover contains @p tick (see the
+    /// header comment for the order), or nullopt if none does.
+    std::optional<ReqStage> owner(Tick tick) const;
+};
+
+/// The per-stage covers of @p root's subtree, clamped to [begin, end).
+/// Spans need not be begin-ordered (a record that is not is sorted as a
+/// copy), though ReqTraceSession and readReqTrace deliver them so.
+StageCovers stageCovers(const RequestTree& tree, std::size_t root, Tick begin, Tick end);
 
 /// Stage attribution of one root request's end-to-end window.
 struct RequestBlame {
@@ -180,7 +191,11 @@ struct ReqTraceFile {
     std::vector<ReqRecord> records;
 };
 
-/// Parse a sidecar written by ReqTraceSession. Throws std::runtime_error on
+/// Parse the text of a sidecar written by ReqTraceSession; @p source labels
+/// error messages. Throws std::runtime_error on malformed lines.
+ReqTraceFile parseReqTrace(const std::string& text, const std::string& source);
+
+/// parseReqTrace over the file at @p path. Throws std::runtime_error on
 /// unreadable files or malformed lines.
 ReqTraceFile readReqTrace(const std::string& path);
 

@@ -14,7 +14,9 @@
 // installs itself as the simulation's observer only when one of them is on.
 // The request collector is installed as the simulation's RequestSink and
 // receives spans straight from the components; a request-tracing-only
-// session (the DSE harness's always-on stage blame) installs no observer.
+// session (the DSE harness's always-on stage blame) installs no observer,
+// so all it costs is the span collection (ReqTraceSession::onSpan) and
+// computeBlame (DESIGN.md, request tracing).
 //
 // Each dispatch is charged to the SimObject its Event names as owner
 // (Event::owner()); ownerless events land in slot 0, "(unattributed)".

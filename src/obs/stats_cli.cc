@@ -359,7 +359,7 @@ std::optional<StatsInput> loadStatsInput(const std::string& tool, const std::str
     in.isTimeline = text->substr(0, text->find('\n')).find("\"g5rMetrics\"") != std::string::npos;
     try {
         if (in.isTimeline) {
-            in.timeline = readMetricsTimeline(path);
+            in.timeline = parseMetricsTimeline(*text, path);
         } else {
             in.bench = exp::Json::parse(*text);
         }

@@ -136,10 +136,10 @@ DseRunResult runNvdlaDse(const DseRunConfig& config) {
     // it or the GEM5RTL_REQTRACE overlay (applied inside Soc) speaks for
     // itself. This is not free: perfbench/run.py tracks the cost as
     // obs.reqtrace_frac (forced tracing vs GEM5RTL_REQTRACE=0), measured at
-    // 0.22-0.28 on its nvdla_staged workload, and the fig. 7 sweep runs ~25%
-    // slower at --jobs 1 (4-core x86 host, g++ 12). The event loop runs with
-    // no observer installed; the cost is the span recording plus the
-    // post-run sort (ReqTraceSession::finish) and computeBlame.
+    // 0.13-0.17 on its nvdla_staged workload (4-vCPU x86 host, g++ 12). The
+    // event loop runs with no observer installed; the cost is the span
+    // recording (in canonical order, ReqTraceSession::onSpan), not the
+    // linear-time computeBlame (about 2 ms of a 0.15 s call there).
     if (!socCfg.obs.reqtraceEnabled && std::getenv("GEM5RTL_REQTRACE") == nullptr) {
         socCfg.obs.reqtraceEnabled = true;
         socCfg.obs.reqtracePath = "-";

@@ -308,7 +308,8 @@ int netlistcMain(int argc, const char* const* argv) {
 }
 
 // diff: exit 1 on a divergence, 2 on incomparable recordings (reason on
-// stderr, or in the --json document so scripts never parse stderr).
+// stderr, or in the --json document so scripts never parse stderr) and on
+// inputs that are not readable regular files (reported on stderr).
 const Command kDiff{
     "g5r diff",
     "usage: g5r diff [--packets-only] [--json] <a.g5rec> <b.g5rec>\n"
@@ -322,9 +323,19 @@ int diffMain(int argc, const char* const* argv) {
     const Args args = parseArgs(kDiff, argc, argv);
     if (args.exit) return *args.exit;
     const std::vector<std::string> paths = args.positionals();
-    const obs::DivergenceReport rep = obs::diffRecordingFiles(
-        paths[0], paths[1],
-        args.has("--packets-only") ? obs::DiffLane::kPacketsOnly : obs::DiffLane::kBoth);
+    const auto textA = readInputFile(kDiff.tool, paths[0]);
+    if (!textA) return 2;
+    const auto textB = readInputFile(kDiff.tool, paths[1]);
+    if (!textB) return 2;
+    obs::DivergenceReport rep;
+    try {
+        rep = obs::findFirstDivergence(
+            obs::Recording::parse(*textA, paths[0]), obs::Recording::parse(*textB, paths[1]),
+            args.has("--packets-only") ? obs::DiffLane::kPacketsOnly : obs::DiffLane::kBoth);
+    } catch (const std::exception& e) {
+        rep.comparable = false;
+        rep.error = e.what();
+    }
     if (args.has("--json")) {
         std::cout << obs::divergenceReportJson(rep, paths[0], paths[1]) << '\n';
     } else if (!rep.comparable) {

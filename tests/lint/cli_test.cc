@@ -1,7 +1,7 @@
 // Command-line contracts of g5r lint and g5r netlistc: numeric options are
 // parsed whole and range-checked, both subcommands share one builtin-design
-// parser (rtl::builtinDesign) and one input-file reader, and the front end
-// owns the exit contract. Bad values exit 2.
+// parser (rtl::builtinDesign) and one input-file reader (as does g5r diff),
+// and the front end owns the exit contract. Bad values exit 2.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -26,6 +26,17 @@ int g5r(const std::string& args) {
     const int status =
         std::system((std::string{G5R_BIN} + ' ' + args + " >/dev/null 2>&1").c_str());
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// What `g5r <args>` writes to stderr.
+std::string g5rStderr(const std::string& args) {
+    std::string err;
+    FILE* pipe = ::popen((std::string{G5R_BIN} + ' ' + args + " 2>&1 >/dev/null").c_str(), "r");
+    if (pipe == nullptr) return err;
+    char buf[256];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) err += buf;
+    ::pclose(pipe);
+    return err;
 }
 
 int lint(const std::string& args) { return g5r("lint " + args); }
@@ -65,6 +76,17 @@ TEST(NetlistcCli, RejectsADirectoryInputAndWritesNothing) {
     EXPECT_EQ(netlistc(dir + " --emit-only " + out), 2);
     EXPECT_FALSE(std::filesystem::exists(out));
     EXPECT_EQ(lint(dir), 2);
+    std::filesystem::remove(dir);
+}
+
+TEST(DiffCli, RejectsADirectoryInput) {
+    // Reported as what it is, not as an empty recording.
+    const std::string dir = ::testing::TempDir() + "/cli_diff_dir";
+    std::filesystem::create_directories(dir);
+    EXPECT_EQ(g5r("diff " + dir + ' ' + dir), 2);
+    EXPECT_EQ(g5r("diff --json " + dir + ' ' + dir), 2);
+    const std::string err = g5rStderr("diff " + dir + ' ' + dir);
+    EXPECT_NE(err.find("g5r diff: not a regular file: " + dir), std::string::npos) << err;
     std::filesystem::remove(dir);
 }
 

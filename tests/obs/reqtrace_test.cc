@@ -1,13 +1,22 @@
-// Request-level causal tracing: sidecar format round-trip, the
-// sums-to-100% blame invariant, overlap precedence, in-memory mode, the
-// g5r critpath CLI, and the ObsOptions environment overlay (including the
+// Request-level causal tracing: sidecar format round-trip, canonical span
+// order regardless of arrival order, the sums-to-100% blame invariant,
+// overlap precedence, a seeded differential check of the cover-based blame
+// and waterfall against an event-sweep oracle, in-memory mode, the g5r
+// critpath CLI, and the ObsOptions environment overlay (including the
 // combined multi-variable precedence case).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "exp/json.hh"
 #include "obs/critpath_cli.hh"
@@ -36,6 +45,176 @@ void populate(ReqTraceSession& session) {
     session.onEnd(3, 10'000);
     session.onEnd(7, 5'000);
     session.onSpan(7, ReqStage::kDramService, 2'000, 4'000);
+}
+
+auto spanKey(const ReqSpan& s) { return std::make_tuple(s.begin, s.stage, s.end); }
+
+bool spanLess(const ReqSpan& a, const ReqSpan& b) { return spanKey(a) < spanKey(b); }
+
+bool sameSpans(const std::vector<ReqSpan>& a, const std::vector<ReqSpan>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const ReqSpan& x, const ReqSpan& y) { return spanKey(x) == spanKey(y); });
+}
+
+// ------------------------------------------------------------------ oracle --
+// The event-sweep attribution computeBlame used before it moved to per-stage
+// covers: every clamped span contributes an open and a close event, and each
+// elementary interval between event ticks goes to the highest-ranked open
+// stage. Quadratic-ish and allocation-heavy, but obviously right.
+
+constexpr std::array<int, kNumReqStages> kOracleRank = {
+    /* hostLoad    */ 1,
+    /* dmaStage    */ 6,
+    /* spmFill     */ 4,
+    /* xbarQueue   */ 2,
+    /* dramService */ 3,
+    /* rtlCompute  */ 0,
+    /* drain       */ 5,
+};
+
+struct SweepEvent {
+    Tick tick;
+    unsigned stage;
+    int delta;  ///< +1 span opens, -1 span closes.
+};
+
+/// Every span of @p root's subtree clamped to [begin, end), empty ones dropped.
+std::vector<ReqSpan> clampedSpans(const RequestTree& tree, std::size_t root, Tick begin,
+                                  Tick end) {
+    std::vector<ReqSpan> out;
+    for (const std::size_t idx : tree.subtree(root)) {
+        for (const ReqSpan& span : tree.records[idx].spans) {
+            const Tick b = std::max(span.begin, begin);
+            const Tick e = std::min(span.end, end);
+            if (e > b) out.push_back(ReqSpan{span.stage, b, e});
+        }
+    }
+    return out;
+}
+
+BlameSummary sweepBlame(const std::vector<ReqRecord>& records) {
+    BlameSummary summary;
+    const RequestTree tree(records);
+    for (const std::size_t rootIdx : tree.roots) {
+        const ReqRecord& root = records[rootIdx];
+        RequestBlame blame;
+        blame.record = rootIdx;
+        blame.id = root.id;
+        blame.kind = root.kind;
+        blame.begin = root.beginTick;
+        Tick effectiveEnd = root.ended ? root.endTick : root.beginTick;
+        for (const std::size_t idx : tree.subtree(rootIdx)) {
+            const ReqRecord& rec = records[idx];
+            if (rec.ended && rec.endTick > effectiveEnd) effectiveEnd = rec.endTick;
+            for (const ReqSpan& span : rec.spans) {
+                if (span.end > effectiveEnd) effectiveEnd = span.end;
+            }
+        }
+        blame.end = effectiveEnd;
+
+        std::vector<SweepEvent> events;
+        for (const ReqSpan& span : clampedSpans(tree, rootIdx, blame.begin, effectiveEnd)) {
+            const auto stage = static_cast<unsigned>(span.stage);
+            events.push_back(SweepEvent{span.begin, stage, +1});
+            events.push_back(SweepEvent{span.end, stage, -1});
+        }
+        std::sort(events.begin(), events.end(), [](const SweepEvent& a, const SweepEvent& b) {
+            return a.tick < b.tick;
+        });
+        std::array<int, kNumReqStages> open{};
+        Tick cursor = blame.begin;
+        std::size_t i = 0;
+        auto accumulate = [&](Tick upTo) {
+            if (upTo <= cursor) return;
+            int best = -1;
+            for (unsigned s = 0; s < kNumReqStages; ++s) {
+                if (open[s] > 0 && (best < 0 || kOracleRank[s] > kOracleRank[best])) {
+                    best = static_cast<int>(s);
+                }
+            }
+            const Tick len = upTo - cursor;
+            if (best >= 0) {
+                blame.stageTicks[static_cast<std::size_t>(best)] += len;
+            } else {
+                blame.unattributed += len;
+            }
+            cursor = upTo;
+        };
+        while (i < events.size()) {
+            accumulate(std::min(events[i].tick, effectiveEnd));
+            const Tick t = events[i].tick;
+            while (i < events.size() && events[i].tick == t) {
+                open[events[i].stage] += events[i].delta;
+                ++i;
+            }
+        }
+        accumulate(effectiveEnd);
+
+        for (unsigned s = 0; s < kNumReqStages; ++s) summary.stageTicks[s] += blame.stageTicks[s];
+        summary.unattributed += blame.unattributed;
+        summary.totalTicks += blame.total();
+        summary.roots.push_back(std::move(blame));
+    }
+    return summary;
+}
+
+/// The waterfall strip the midpoint scan over clamped spans draws for @p root.
+std::string sweepStrip(const RequestTree& tree, const RequestBlame& root, std::size_t width) {
+    std::string strip(width, '.');
+    if (root.total() == 0) return strip;
+    const std::vector<ReqSpan> spans = clampedSpans(tree, root.record, root.begin, root.end);
+    const double ticksPerCol = static_cast<double>(root.total()) / static_cast<double>(width);
+    for (std::size_t c = 0; c < width; ++c) {
+        const Tick mid =
+            root.begin + static_cast<Tick>((static_cast<double>(c) + 0.5) * ticksPerCol);
+        const ReqSpan* best = nullptr;
+        for (const ReqSpan& span : spans) {
+            if (span.begin <= mid && mid < span.end &&
+                (best == nullptr || kOracleRank[static_cast<unsigned>(span.stage)] >
+                                        kOracleRank[static_cast<unsigned>(best->stage)])) {
+                best = &span;
+            }
+        }
+        if (best != nullptr) strip[c] = reqStageGlyph(best->stage);
+    }
+    return strip;
+}
+
+/// A random request forest, built by hand (not through a session): sparse
+/// IDs, orphans, nested / overlapping / adjacent / zero-length spans, spans
+/// sticking out of their root's window, children outliving their root,
+/// roots that never ended, and — in about half the records — spans in no
+/// particular order.
+std::vector<ReqRecord> randomForest(std::uint64_t seed) {
+    std::mt19937_64 rng{seed};
+    const auto pick = [&rng](std::uint64_t n) { return static_cast<Tick>(rng() % n); };
+    std::vector<ReqRecord> records(1 + pick(10));
+    ReqId nextId = 1;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        ReqRecord& rec = records[i];
+        rec.id = nextId;
+        nextId += 1 + pick(3);
+        if (i > 0 && pick(4) != 0) {
+            rec.parent = records[pick(i)].id;
+        } else if (pick(5) == 0) {
+            rec.parent = 100'000;  // Absent parent: an orphan is a root.
+        }
+        rec.kind = "k" + std::to_string(i);
+        rec.beginTick = pick(3'000);
+        rec.ended = pick(4) != 0;
+        if (rec.ended) rec.endTick = rec.beginTick + pick(4'000);
+        const std::size_t spanCount = pick(30);
+        for (std::size_t n = 0; n < spanCount; ++n) {
+            const auto stage = static_cast<ReqStage>(pick(kNumReqStages));
+            Tick b = pick(8'000);
+            if (!rec.spans.empty() && pick(4) == 0) b = rec.spans.back().end;  // Adjacent.
+            const Tick len = pick(6) == 0 ? 0 : pick(1'500);
+            rec.spans.push_back(ReqSpan{stage, b, b + len});
+        }
+        if (pick(2) == 0) std::sort(rec.spans.begin(), rec.spans.end(), spanLess);
+    }
+    if (pick(3) == 0) std::shuffle(records.begin(), records.end(), rng);
+    return records;
 }
 
 TEST(ReqTrace, SidecarRoundTrips) {
@@ -79,6 +258,69 @@ TEST(ReqTrace, SidecarRoundTrips) {
     EXPECT_EQ(dma.spans[0].stage, ReqStage::kDmaStage);
     EXPECT_EQ(dma.spans[1].begin, 2'000u);
     std::remove(path.c_str());
+}
+
+TEST(ReqTrace, SpansAreCanonicalWhateverTheArrivalOrder) {
+    // Spans of two requests, with many shared begin ticks and stages so the
+    // (stage, end) tie-breaks matter.
+    std::mt19937_64 rng{42};
+    struct Report {
+        ReqId id;
+        ReqSpan span;
+    };
+    std::vector<Report> reports;
+    for (int i = 0; i < 400; ++i) {
+        const Tick b = rng() % 50;
+        reports.push_back(Report{rng() % 3 == 0 ? ReqId{9} : ReqId{5},
+                                 ReqSpan{static_cast<ReqStage>(rng() % kNumReqStages), b,
+                                         b + 1 + rng() % 20}});
+    }
+    std::array<std::vector<ReqSpan>, 2> canonical;  // ids 5 and 9, std::sort-ed.
+    for (const Report& r : reports) canonical[r.id == 9].push_back(r.span);
+    for (auto& spans : canonical) std::sort(spans.begin(), spans.end(), spanLess);
+
+    const auto record = [](const std::vector<Report>& order) {
+        const std::string path = ::testing::TempDir() + "/order.reqtrace.jsonl";
+        ReqTraceSession session{path, "order"};
+        session.onBegin(5, 0, "job", 0);
+        session.onBegin(9, 5, "child", 3);
+        for (std::size_t i = 0; i < order.size(); ++i) {
+            session.onSpan(order[i].id, order[i].span.stage, order[i].span.begin,
+                           order[i].span.end);
+            if (i % 37 == 0) {  // Canonical at all times, not only after finish().
+                for (const ReqRecord& rec : session.data()) {
+                    EXPECT_TRUE(std::is_sorted(rec.spans.begin(), rec.spans.end(), spanLess));
+                }
+            }
+        }
+        session.onEnd(5, 70);
+        session.finish(70);
+        EXPECT_EQ(session.data().size(), 2u);
+        std::array<std::vector<ReqSpan>, 2> spans;
+        for (const ReqRecord& rec : session.data()) spans[rec.id == 9] = rec.spans;
+        std::string bytes = slurp(path);
+        std::remove(path.c_str());
+        return std::make_pair(spans, bytes);
+    };
+
+    std::vector<Report> inOrder;
+    for (const ReqId id : {ReqId{5}, ReqId{9}}) {
+        for (const ReqSpan& span : canonical[id == 9]) inOrder.push_back(Report{id, span});
+    }
+    std::vector<Report> reversed(inOrder.rbegin(), inOrder.rend());
+    std::vector<Report> shuffled = reports;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+
+    const auto [baseSpans, baseBytes] = record(inOrder);
+    EXPECT_TRUE(sameSpans(baseSpans[0], canonical[0]));
+    EXPECT_TRUE(sameSpans(baseSpans[1], canonical[1]));
+    EXPECT_NE(baseBytes.find("\"kind\":\"child\""), std::string::npos);
+    for (const auto* order : {&reversed, &shuffled, &reports}) {
+        const auto [spans, bytes] = record(*order);
+        EXPECT_TRUE(sameSpans(spans[0], canonical[0]));
+        EXPECT_TRUE(sameSpans(spans[1], canonical[1]));
+        EXPECT_EQ(bytes, baseBytes);
+    }
 }
 
 TEST(ReqTrace, InMemoryModeWritesNoFile) {
@@ -182,6 +424,64 @@ TEST(ReqTrace, NeverEndedRootUsesLastSpan) {
     EXPECT_EQ(blame.totalTicks, 500u);
 }
 
+TEST(ReqTrace, CoverBlameMatchesTheSweepOracle) {
+    for (std::uint64_t seed = 1; seed <= 2'000; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const std::vector<ReqRecord> records = randomForest(seed);
+        const BlameSummary got = computeBlame(records);
+        const BlameSummary want = sweepBlame(records);
+        ASSERT_EQ(got.roots.size(), want.roots.size());
+        for (std::size_t r = 0; r < got.roots.size(); ++r) {
+            const RequestBlame& g = got.roots[r];
+            const RequestBlame& w = want.roots[r];
+            EXPECT_EQ(g.record, w.record);
+            EXPECT_EQ(g.id, w.id);
+            EXPECT_EQ(g.kind, w.kind);
+            EXPECT_EQ(g.begin, w.begin);
+            EXPECT_EQ(g.end, w.end);
+            EXPECT_EQ(g.stageTicks, w.stageTicks);
+            EXPECT_EQ(g.unattributed, w.unattributed);
+        }
+        EXPECT_EQ(got.stageTicks, want.stageTicks);
+        EXPECT_EQ(got.unattributed, want.unattributed);
+        EXPECT_EQ(got.totalTicks, want.totalTicks);
+        if (::testing::Test::HasFailure()) return;
+    }
+}
+
+TEST(ReqTrace, WaterfallMatchesTheMidpointScanOracle) {
+    for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const std::vector<ReqRecord> records = randomForest(seed);
+        const BlameSummary blame = computeBlame(records);
+        const std::size_t width = 16 + seed % 64;
+        std::istringstream lines{renderWaterfall(records, blame, 0, width)};
+        std::string line;
+        std::getline(lines, line);  // Legend.
+        const RequestTree tree(records);
+        for (const RequestBlame& root : blame.roots) {
+            ASSERT_TRUE(std::getline(lines, line));
+            const std::size_t open = line.find('|');
+            ASSERT_NE(open, std::string::npos);
+            EXPECT_EQ(line.substr(open + 1, width), sweepStrip(tree, root, width));
+        }
+        if (::testing::Test::HasFailure()) return;
+    }
+}
+
+TEST(ReqTrace, ParserRejectsOutOfRangeStages) {
+    const std::string header = "{\"g5rReqTrace\":1,\"schema\":1,\"run\":\"x\"}\n";
+    const auto request = [](const std::string& stage) {
+        return "{\"id\":1,\"par\":0,\"kind\":\"job\",\"b\":0,\"e\":9,\"spans\":[[" +
+               stage + ",0,5]]}\n";
+    };
+    EXPECT_EQ(parseReqTrace(header + request("6"), "ok").records.at(0).spans.at(0).stage,
+              ReqStage::kDrain);
+    EXPECT_THROW(parseReqTrace(header + request("7"), "bad"), std::runtime_error);
+    EXPECT_THROW(parseReqTrace(header + request("-1"), "bad"), std::runtime_error);
+    EXPECT_THROW(parseReqTrace("", "empty"), std::runtime_error);
+}
+
 TEST(ReqTrace, BlameReportJsonSharesSumTo100) {
     const std::string path = ::testing::TempDir() + "/shares.reqtrace.jsonl";
     {
@@ -246,6 +546,16 @@ TEST(ReqTrace, CritpathCliExitCodes) {
         EXPECT_EQ(critpathCliMain(3, argv), 2);
     }
     std::remove(path.c_str());
+}
+
+TEST(ReqTrace, CritpathCliRejectsADirectory) {
+    // Reported as what it is, not as an empty request trace.
+    const std::string dir = ::testing::TempDir();
+    const char* argv[] = {"critpath", dir.c_str()};
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(critpathCliMain(2, argv), 2);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("g5r critpath: not a regular file: "), std::string::npos) << err;
 }
 
 TEST(ReqTrace, CritpathCliRejectsBadWaterfallCounts) {
