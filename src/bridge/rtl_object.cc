@@ -124,16 +124,13 @@ void RtlObject::sendDevRetries() {
 
 bool RtlObject::recvMemResp(PacketPtr& pkt) {
     wake();
-    const auto it = pktToModelId_.find(pkt->id());
-    simAssert(it != pktToModelId_.end(), "memory response with no model mapping");
     ModelResp resp;
-    resp.id = it->second;
+    resp.id = pkt->popSenderState();
     resp.data.fill(0);
     if (pkt->cmd() == MemCmd::kReadResp) {
         std::memcpy(resp.data.data(), pkt->constData(),
                     std::min<std::size_t>(pkt->size(), resp.data.size()));
     }
-    pktToModelId_.erase(it);
     modelRespQueue_.push_back(resp);
     simAssert(outstanding_ > 0, "response underflow");
     --outstanding_;
@@ -184,7 +181,7 @@ void RtlObject::issueModelRequests(const G5rRtlOutput& out) {
         unsigned portIdx = req.port < kNumMemSidePorts ? req.port : 0;
         if (!memPorts_[portIdx]->isBound()) portIdx = 0;
 
-        pktToModelId_[pkt->id()] = req.id;
+        pkt->pushSenderState(req.id);  // The model's tag, popped by recvMemResp.
         ++outstanding_;
         memSendQueues_[portIdx].push_back(std::move(pkt));
     }

@@ -144,13 +144,14 @@ void OooCore::commitStage() {
         RobEntry& head = rob_.front();
         if (!head.completed) break;
 
-        // Program termination waits for every committed store to drain, so
-        // all architectural memory effects are visible at exit.
+        // Program termination waits for every committed store to drain (an
+        // issued store stays in the buffer until its ack), so all
+        // architectural memory effects are visible at exit.
         const bool terminates =
             head.instr.isHalt() ||
             (head.instr.isSyscall() &&
              static_cast<isa::Syscall>(archState_.read(17)) == isa::Syscall::kExit);
-        if (terminates && (!storeBuffer_.empty() || !storesInFlight_.empty())) break;
+        if (terminates && !storeBuffer_.empty()) break;
 
         if (head.instr.isStore()) {
             if (storeBuffer_.size() >= params_.storeBufferEntries) break;
@@ -260,9 +261,6 @@ void OooCore::squashAfter(Seq seq, std::uint64_t newFetchPc) {
     while (!ldq_.empty() && ldq_.back().seq > seq) ldq_.pop_back();
     while (!stq_.empty() && stq_.back().seq > seq) stq_.pop_back();
     std::erase_if(completions_, [seq](const Completion& c) { return c.seq > seq; });
-    for (auto it = loadsInFlight_.begin(); it != loadsInFlight_.end();) {
-        it = (it->second > seq) ? loadsInFlight_.erase(it) : std::next(it);
-    }
 
     squashCount += fetchQueue_.size();
     fetchQueue_.clear();
@@ -356,12 +354,11 @@ bool OooCore::tryIssueLoad(RobEntry& rob, LdqEntry& ldq) {
     // Off to the D-cache.
     if (dcacheBlocked_) return false;
     auto pkt = makeReadPacket(ldq.addr, ldq.size);
-    const std::uint64_t id = pkt->id();
+    pkt->pushSenderState(rob.seq);
     if (!dport_.sendTimingReq(pkt)) {
         dcacheBlocked_ = true;
         return false;
     }
-    loadsInFlight_[id] = rob.seq;
     return true;
 }
 
@@ -488,14 +485,14 @@ OooCore::FetchLine* OooCore::findFetchLine(std::uint64_t lineAddr) {
 void OooCore::requestFetchLine(std::uint64_t lineAddr) {
     if (icacheBlocked_) return;
     if (fetchAddrPending_.count(lineAddr) > 0) return;
-    if (fetchesInFlight_.size() >= 2) return;  // Demand line + one prefetch.
+    if (fetchesInFlight_ >= 2) return;  // Demand line + one prefetch.
     auto pkt = makeReadPacket(lineAddr, kLineBytes);
-    const std::uint64_t id = pkt->id();
+    pkt->pushSenderState(fetchEpoch_);
     if (!iport_.sendTimingReq(pkt)) {
         icacheBlocked_ = true;
         return;
     }
-    fetchesInFlight_[id] = fetchEpoch_;
+    ++fetchesInFlight_;
     ++fetchAddrPending_[lineAddr];
 }
 
@@ -556,10 +553,9 @@ void OooCore::fetchStage() {
 }
 
 bool OooCore::recvIcacheResp(PacketPtr& pkt) {
-    const auto it = fetchesInFlight_.find(pkt->id());
-    simAssert(it != fetchesInFlight_.end(), "unexpected icache response");
-    const bool stale = it->second != fetchEpoch_;
-    fetchesInFlight_.erase(it);
+    simAssert(fetchesInFlight_ > 0, "unexpected icache response");
+    --fetchesInFlight_;
+    const bool stale = pkt->popSenderState() != fetchEpoch_;
     if (auto pendIt = fetchAddrPending_.find(pkt->addr()); pendIt != fetchAddrPending_.end()) {
         if (--pendIt->second == 0) fetchAddrPending_.erase(pendIt);
     }
@@ -595,12 +591,10 @@ void OooCore::drainStoreBuffer() {
         if (outstanding >= kMaxOutstandingStores || dcacheBlocked_) break;
         auto pkt = makeWritePacket(sb.addr, sb.size);
         std::memcpy(pkt->data(), &sb.data, sb.size);
-        const std::uint64_t id = pkt->id();
         if (!dport_.sendTimingReq(pkt)) {
             dcacheBlocked_ = true;
             break;
         }
-        storesInFlight_[id] = sb.addr;
         sb.issued = true;
         ++outstanding;
     }
@@ -608,10 +602,7 @@ void OooCore::drainStoreBuffer() {
 
 bool OooCore::recvDcacheResp(PacketPtr& pkt) {
     if (pkt->cmd() == MemCmd::kWriteResp) {
-        const auto it = storesInFlight_.find(pkt->id());
-        simAssert(it != storesInFlight_.end(), "unexpected write ack");
-        const Addr addr = it->second;
-        storesInFlight_.erase(it);
+        const Addr addr = pkt->addr();
         // Retire the oldest issued store-buffer entry for this address.
         const auto sbIt = std::find_if(
             storeBuffer_.begin(), storeBuffer_.end(),
@@ -622,16 +613,14 @@ bool OooCore::recvDcacheResp(PacketPtr& pkt) {
         return true;
     }
 
-    const auto it = loadsInFlight_.find(pkt->id());
-    if (it == loadsInFlight_.end()) {
-        pkt.reset();  // Load was squashed while in flight.
+    // Seqs are never reused, so a load whose ROB entry is gone was squashed
+    // while in flight.
+    const Seq seq = pkt->popSenderState();
+    RobEntry* rob = findRob(seq);
+    if (rob == nullptr) {
+        pkt.reset();
         return true;
     }
-    const Seq seq = it->second;
-    loadsInFlight_.erase(it);
-
-    RobEntry* rob = findRob(seq);
-    simAssert(rob != nullptr, "load response for unknown ROB entry");
     std::uint64_t raw = 0;
     std::memcpy(&raw, pkt->constData(), pkt->size());
     rob->result = isa::extendLoad(rob->instr, raw);

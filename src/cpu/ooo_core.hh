@@ -226,7 +226,8 @@ private:
     static constexpr unsigned kFetchLines = 4;
     std::array<FetchLine, kFetchLines> fetchLines_;
     std::uint64_t fetchLineLru_ = 0;
-    std::unordered_map<std::uint64_t, std::uint64_t> fetchesInFlight_;  ///< pkt id -> epoch.
+    /// Line fetches in flight; each carries its fetchEpoch_ as sender state.
+    unsigned fetchesInFlight_ = 0;
     std::unordered_map<std::uint64_t, std::uint64_t> fetchAddrPending_;  ///< line addr -> count.
     bool icacheBlocked_ = false;
 
@@ -240,8 +241,6 @@ private:
     std::deque<StqEntry> stq_;
     std::deque<StoreBufferEntry> storeBuffer_;
     std::vector<Completion> completions_;
-    std::unordered_map<std::uint64_t, Seq> loadsInFlight_;  ///< pkt id -> seq.
-    std::unordered_map<std::uint64_t, std::size_t> storesInFlight_;  ///< pkt id (acks).
     bool dcacheBlocked_ = false;
 
     Seq nextSeq_ = 0;

@@ -24,6 +24,11 @@ Cache::Cache(Simulation& sim, std::string objName, const CacheParams& params)
       demandAccesses_(stats_.scalar("demandAccesses", "CPU-side requests observed")) {
     simAssert(numSets_ > 0 && (numSets_ & (numSets_ - 1)) == 0,
               "cache sets must be a non-zero power of two");
+    // Aligned, no fetched line overlaps a window: handleFill tells by address.
+    for (const AddrRange& r : params_.uncacheable) {
+        simAssert(blockAlign(r.start) == r.start && blockAlign(r.end) == r.end,
+                  "uncacheable ranges must be line-aligned");
+    }
     sets_.resize(numSets_);
     for (auto& set : sets_) set.resize(params_.assoc);
 }
@@ -58,8 +63,7 @@ bool Cache::access(PacketPtr& pkt) {
     ++demandAccesses_;
 
     if (isUncacheable(pkt->addr())) {
-        // Forward around the cache; the response is matched back by id.
-        uncacheableInFlight_.insert(pkt->id());
+        // Forward around the cache; handleFill knows the response by address.
         pushRequest(std::move(pkt), clockEdge(1));
         return true;
     }
@@ -134,7 +138,9 @@ void Cache::maybePrefetch(Addr missAddr, RequestorId requestor) {
     if (!params_.enablePrefetcher) return;
     for (const Addr predicted : prefetcher_.notifyAccess(missAddr, requestor)) {
         const Addr blockAddr = blockAlign(predicted);
-        if (findLine(blockAddr) != nullptr) continue;
+        // A device window is never prefetched: reads there have side effects,
+        // and its fill would be mistaken for a pass-through response.
+        if (isUncacheable(blockAddr) || findLine(blockAddr) != nullptr) continue;
         if (mshrs_.count(blockAddr) > 0) continue;
         if (mshrs_.size() >= params_.mshrs) break;  // Never starve demand misses.
 
@@ -152,8 +158,7 @@ void Cache::maybePrefetch(Addr missAddr, RequestorId requestor) {
 // --------------------------------------------------------------- fill path --
 
 bool Cache::handleFill(PacketPtr& pkt) {
-    if (auto it = uncacheableInFlight_.find(pkt->id()); it != uncacheableInFlight_.end()) {
-        uncacheableInFlight_.erase(it);
+    if (isUncacheable(pkt->addr())) {
         pushResponse(std::move(pkt), clockEdge(params_.responseLatency));
         return true;
     }

@@ -6,14 +6,14 @@
 // the hierarchy is functionally correct, not just a timing filter.
 //
 // Uncacheable requests (device registers, RTL-model CSB space) are forwarded
-// downstream unmodified and matched back to their response by packet id.
+// downstream unmodified; their responses are recognised by address, since
+// the cache never fetches (or prefetches) a line in an uncacheable range.
 #pragma once
 
 #include <deque>
 #include <list>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/addr_range.hh"
@@ -132,7 +132,6 @@ private:
     std::uint64_t lruCounter_ = 0;
 
     std::unordered_map<Addr, Mshr> mshrs_;
-    std::unordered_set<std::uint64_t> uncacheableInFlight_;
 
     CpuSidePort cpuSide_;
     MemSidePort memSide_;

@@ -6,8 +6,13 @@
 // packet: whoever holds the unique_ptr owns it; the port protocol only moves
 // the pointer on *accepted* sends, so a rejected send leaves the packet with
 // the sender (see port.hh).
+//
+// A response finds its way home through the packet's own sender-state stack,
+// as in gem5: a component pushes what it needs on the way down and pops it on
+// the way up. Packet ids are observability labels only; nothing routes by them.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -42,7 +47,7 @@ const char* memCmdName(MemCmd cmd);
 class Packet {
 public:
     Packet(MemCmd cmd, Addr addr, unsigned size)
-        : cmd_(cmd), addr_(addr), size_(size), id_(nextId()) {}
+        : addr_(addr), id_(nextId()), size_(size), cmd_(cmd) {}
 
     ~Packet() {
         // Flow-tracked packets close their trace flow when the requester
@@ -135,6 +140,25 @@ public:
         return value;
     }
 
+    // --- sender state -------------------------------------------------------
+    /// Deepest SoC path plus headroom: an uncacheable core access (core ->
+    /// L1D -> l1bus -> L2 -> noc -> device) pushes 1 + 2 + 2 words.
+    static constexpr unsigned kSenderStateCapacity = 8;
+
+    void pushSenderState(std::uint64_t word) {
+        simAssert(senderDepth_ < kSenderStateCapacity, "sender-state stack overflow");
+        senderState_[senderDepth_++] = word;
+    }
+    std::uint64_t peekSenderState() const {
+        simAssert(senderDepth_ > 0, "sender-state stack underflow");
+        return senderState_[senderDepth_ - 1];
+    }
+    std::uint64_t popSenderState() {
+        simAssert(senderDepth_ > 0, "sender-state stack underflow");
+        return senderState_[--senderDepth_];
+    }
+    unsigned senderStateDepth() const { return senderDepth_; }
+
     // --- misc --------------------------------------------------------------
     /// First tick the packet entered the memory system (set by the sender).
     Tick issueTick() const { return issueTick_; }
@@ -154,15 +178,18 @@ private:
     // how many simulations share the process. See sim/packet_id.hh.
     static std::uint64_t nextId() { return nextPacketId(); }
 
-    MemCmd cmd_;
+    // Ordered to pack the small fields into one word.
     Addr addr_;
-    unsigned size_;
     std::uint64_t id_;
+    unsigned size_;
     RequestorId requestor_ = kInvalidRequestor;
-    ReqId reqId_ = 0;
+    MemCmd cmd_;
     bool flowTracked_ = false;
+    std::uint8_t senderDepth_ = 0;
+    ReqId reqId_ = 0;
     Tick issueTick_ = 0;
     std::vector<std::uint8_t> data_;
+    std::array<std::uint64_t, kSenderStateCapacity> senderState_;
 };
 
 using PacketPtr = std::unique_ptr<Packet>;

@@ -89,8 +89,7 @@ unsigned Xbar::route(Addr addr) const {
     panicStream(strCat("xbar ", name(), ": no route for address 0x", std::hex, addr));
 }
 
-void Xbar::acceptIntoLayer(Layer& layer, PacketPtr& pkt, unsigned srcIdx,
-                           CallbackEvent& deliverEvent) {
+void Xbar::acceptIntoLayer(Layer& layer, PacketPtr& pkt) {
     // Only payload occupies the datapath: write requests and read responses
     // carry data; read requests and write acks are a single header beat.
     const bool carriesData = (pkt->isWrite() && pkt->isRequest()) ||
@@ -100,13 +99,20 @@ void Xbar::acceptIntoLayer(Layer& layer, PacketPtr& pkt, unsigned srcIdx,
         std::max<Cycles>(1, (payload + params_.widthBytes - 1) / params_.widthBytes);
     layer.busy = true;
     layer.waitingPeer = false;
-    layer.srcIdx = srcIdx;
     layer.acceptTick = curTick();
     // Header latency is pipelined; the layer is occupied for the beats only.
     layer.freeTick = clockEdge(beats);
     bytesRouted_ += payload;
     layer.pkt = std::move(pkt);
-    eventQueue().schedule(deliverEvent, clockEdge(params_.forwardLatency));
+    eventQueue().schedule(*layer.deliverEvent, clockEdge(params_.forwardLatency));
+}
+
+bool Xbar::reject(Layer& layer, unsigned src) {
+    ++layerConflicts_;
+    if (std::find(layer.retryList.begin(), layer.retryList.end(), src) == layer.retryList.end()) {
+        layer.retryList.push_back(src);
+    }
+    return false;
 }
 
 // ----------------------------------------------------------- request path --
@@ -114,16 +120,15 @@ void Xbar::acceptIntoLayer(Layer& layer, PacketPtr& pkt, unsigned srcIdx,
 bool Xbar::handleReq(unsigned srcUp, PacketPtr& pkt) {
     const unsigned dst = route(pkt->addr());
     Layer& layer = reqLayers_[dst];
-    if (layer.busy) {
-        ++layerConflicts_;
-        if (std::find(layer.retryList.begin(), layer.retryList.end(), srcUp) ==
-            layer.retryList.end()) {
-            layer.retryList.push_back(srcUp);
-        }
-        return false;
-    }
+    if (layer.busy) return reject(layer, srcUp);
     ++reqsRouted_;
-    acceptIntoLayer(layer, pkt, srcUp, *layer.deliverEvent);
+    // The way home: the accept tick (zero point of the round-trip latency
+    // histogram) under the upstream port index, which handleResp peeks.
+    if (pkt->needsResponse()) {
+        pkt->pushSenderState(curTick());
+        pkt->pushSenderState(srcUp);
+    }
+    acceptIntoLayer(layer, pkt);
     return true;
 }
 
@@ -131,15 +136,12 @@ void Xbar::deliverReq(unsigned dstDown) {
     Layer& layer = reqLayers_[dstDown];
     if (!layer.busy || layer.pkt == nullptr) return;
 
-    const bool wantsRoute = layer.pkt->needsResponse();
-    const std::uint64_t id = layer.pkt->id();
     const ReqId reqId = layer.pkt->reqId();
     const Tick acceptTick = layer.acceptTick;
     if (!downPorts_[dstDown]->sendTimingReq(layer.pkt)) {
         layer.waitingPeer = true;  // Peer will recvReqRetry -> deliverReq again.
         return;
     }
-    if (wantsRoute) respRoute_[id] = RouteInfo{layer.srcIdx, layer.acceptTick};
     // Ticks between layer acceptance and the downstream peer taking the
     // packet are crossbar queueing, blamed on the packet's request.
     if (RequestSink* sink = sim_.requestSink(); sink && reqId != 0 && curTick() > acceptTick) {
@@ -165,24 +167,17 @@ void Xbar::finishReqLayer(unsigned dstDown) {
 // ---------------------------------------------------------- response path --
 
 bool Xbar::handleResp(unsigned srcDown, PacketPtr& pkt) {
-    const auto it = respRoute_.find(pkt->id());
-    simAssert(it != respRoute_.end(), "response with no recorded route");
-    const unsigned dstUp = it->second.up;
+    // Peek only: a rejected response must leave the packet untouched.
+    const auto dstUp = static_cast<unsigned>(pkt->peekSenderState());
+    simAssert(dstUp < respLayers_.size(), "response's sender state names no upstream port");
 
     Layer& layer = respLayers_[dstUp];
-    if (layer.busy) {
-        ++layerConflicts_;
-        if (std::find(layer.retryList.begin(), layer.retryList.end(), srcDown) ==
-            layer.retryList.end()) {
-            layer.retryList.push_back(srcDown);
-        }
-        return false;
-    }
-    const Tick rtt = curTick() - it->second.issued;
-    latency_[dstUp].ticks->sampleInt(rtt);
-    respRoute_.erase(it);
+    if (layer.busy) return reject(layer, srcDown);
+    pkt->popSenderState();
+    const Tick issued = pkt->popSenderState();
+    latency_[dstUp].ticks->sampleInt(curTick() - issued);
     ++respsRouted_;
-    acceptIntoLayer(layer, pkt, srcDown, *layer.deliverEvent);
+    acceptIntoLayer(layer, pkt);
     return true;
 }
 

@@ -2,8 +2,10 @@
 //
 // N CPU-side (upstream) ports and M mem-side (downstream) ports. Requests are
 // routed by address range — optionally bit-interleaved, which is how the
-// 8-bank LLC is striped — and responses are routed back to their original
-// source port via the packet id. Each output direction is guarded by a
+// 8-bank LLC is striped. A request that needs a response carries its way
+// back on the packet's sender-state stack: on accept the crossbar pushes the
+// accept tick and the upstream port index, and the response pops both when
+// the response layer takes it. Each output direction is guarded by a
 // "layer" that models the switch occupancy: header latency plus one cycle
 // per 128-bit beat, with gem5-style retry lists when a layer is busy.
 //
@@ -14,7 +16,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/addr_range.hh"
@@ -86,18 +87,9 @@ private:
         Tick freeTick = 0;
         Tick acceptTick = 0;  ///< When the occupying packet was accepted.
         PacketPtr pkt;
-        unsigned srcIdx = 0;  ///< Where the packet came from (for routing back).
         std::vector<unsigned> retryList;
         std::unique_ptr<CallbackEvent> deliverEvent;
         std::unique_ptr<CallbackEvent> freeEvent;
-    };
-
-    /// Book-keeping for an outstanding request: where its response must be
-    /// switched back to, and when the crossbar accepted the request (the
-    /// zero point of the per-requestor round-trip latency histogram).
-    struct RouteInfo {
-        unsigned up;
-        Tick issued;
     };
 
     unsigned route(Addr addr) const;
@@ -113,8 +105,9 @@ private:
     void handleFunctional(Packet& pkt);
 
     /// Occupy @p layer with @p pkt and schedule its delivery.
-    void acceptIntoLayer(Layer& layer, PacketPtr& pkt, unsigned srcIdx,
-                         CallbackEvent& deliverEvent);
+    void acceptIntoLayer(Layer& layer, PacketPtr& pkt);
+    /// Refuse a send into busy @p layer; port @p src gets a retry when it frees.
+    bool reject(Layer& layer, unsigned src);
 
     Params params_;
     std::vector<std::unique_ptr<UpPort>> upPorts_;
@@ -122,7 +115,6 @@ private:
     std::vector<RouteSpec> routes_;
     std::vector<Layer> reqLayers_;   ///< One per downstream port.
     std::vector<Layer> respLayers_;  ///< One per upstream port.
-    std::unordered_map<std::uint64_t, RouteInfo> respRoute_;  ///< pkt id -> route.
 
     stats::Scalar& reqsRouted_;
     stats::Scalar& respsRouted_;

@@ -22,6 +22,9 @@
 //   GEM5RTL_REQTRACE=1       write <run>.reqtrace.jsonl request trace here
 //   GEM5RTL_REQTRACE=<dir>   write it to <dir> (created by the caller)
 //   GEM5RTL_REQTRACE=0       force request tracing off
+//
+// N and T must be whole base-10 numbers of at least 1; anything else
+// ("10x", "abc", "-5", "0") is an error, not a silent default.
 #pragma once
 
 #include <string>
@@ -99,7 +102,9 @@ struct ObsOptions {
 
     /// Overlay the GEM5RTL_* environment variables (see header comment)
     /// onto @p base. The environment wins where set, so a benchmark run
-    /// can be traced without recompiling or editing its config.
+    /// can be traced without recompiling or editing its config. Throws
+    /// std::invalid_argument, naming the variable and its value, on a
+    /// malformed or zero N/T.
     static ObsOptions fromEnv(ObsOptions base);
     static ObsOptions fromEnv();  ///< fromEnv() over all-default options.
 };

@@ -219,6 +219,46 @@ TEST(OooCore, MispredictRecoveryIsArchitecturallyCorrect) {
     EXPECT_EQ(h.core->archReg(10), golden.state().read(10));
 }
 
+TEST(OooCore, WrongPathLoadResponseIsDroppedAfterTheSquash) {
+    // The cold branch predicts taken, so the two loads at `wrong` (in the
+    // same fetch line) issue while the branch waits on a load that misses to
+    // memory. They miss too, and their responses arrive after the squash,
+    // to a ROB that no longer holds their seqs.
+    const auto prog = isa::assemble(R"(
+          li t0, 0x40000
+          li t6, 0x50000
+          ld t3, 0(t6)        ; 1: the branch waits a memory round trip
+          beq t3, x0, wrong
+          j right
+        wrong:
+          ld a0, 0(t0)
+          ld a1, 64(t0)
+          halt
+        right:
+          li a0, 42
+          li t4, 0
+          li t5, 300
+        wait:                 ; outlast the wrong-path round trips
+          addi t4, t4, 1
+          blt t4, t5, wait
+          halt
+    )");
+    CoreHarness h{prog};
+    h.store.store<std::uint64_t>(0x50000, 1);
+    h.store.store<std::uint64_t>(0x40000, 7777);
+    h.store.store<std::uint64_t>(0x40040, 8888);
+    h.run();
+    ASSERT_TRUE(h.core->halted());
+    EXPECT_GE(h.sim.findStat("cpu0.branchMispredicts")->value(), 1.0);
+    EXPECT_EQ(h.core->archReg(10), 42u);
+    EXPECT_EQ(h.core->archReg(11), 0u);
+    EXPECT_EQ(h.sim.findStat("cpu0.loads")->value(), 1.0);
+    // Both wrong-path lines came back before the halt.
+    EXPECT_TRUE(h.l1d->isCached(0x40000));
+    EXPECT_TRUE(h.l1d->isCached(0x40040));
+    EXPECT_EQ(h.xbar->latency(1).count(), 3u);
+}
+
 TEST(OooCore, StoreToLoadForwarding) {
     // Push/pop pairs through the stack force load-after-store to the same
     // address while the store is still in flight.

@@ -196,6 +196,42 @@ TEST(Cache, UncacheableForwardedNotCached) {
     EXPECT_EQ(h.sim.findStat("mem.numReads")->value(), 2.0);
 }
 
+TEST(Cache, PrefetcherSkipsUncacheableLines) {
+    auto params = Harness::smallCache();
+    params.enablePrefetcher = true;
+    params.prefetchDegree = 2;
+    params.mshrs = 8;
+    params.uncacheable.push_back(AddrRange{0x8000000, 0x8001000});
+    Harness h{params};
+
+    // A unit-stride stream that ends just below a device window: the
+    // predicted lines past its end are device reads with side effects.
+    for (int i = 0; i < 4; ++i) {
+        h.req.issueAt(h.sim.curTick() + 1, makeReadPacket(0x7FFFF00 + 64 * i, 8));
+        h.sim.run();
+    }
+    ASSERT_EQ(h.req.numResponses(), 4u);
+    EXPECT_FALSE(h.cache.isCached(0x8000000));
+    EXPECT_FALSE(h.cache.isCached(0x8000040));
+    // Every line read from memory lies below the window.
+    EXPECT_EQ(h.sim.findStat("mem.numReads")->value(),
+              h.stat("misses") + h.stat("prefetchesIssued"));
+    EXPECT_EQ(h.stat("prefetchesIssued"), h.stat("prefetchFills"));
+    for (const auto& r : h.req.responses()) EXPECT_LT(r.pkt->addr(), 0x8000000u);
+}
+
+TEST(CacheDeath, UnalignedUncacheableRangePanics) {
+    // A window ending mid-line would share a line with cacheable bytes, so
+    // a fill of that line could not be told from a pass-through response.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto build = [] {
+        auto params = Harness::smallCache();
+        params.uncacheable.push_back(AddrRange{0x8000000, 0x8000020});
+        Harness h{params};
+    };
+    EXPECT_DEATH(build(), "uncacheable ranges must be line-aligned");
+}
+
 TEST(Cache, FunctionalWritesUpdateCachedLine) {
     Harness h;
     h.req.issueAt(0, makeReadPacket(0x5000, 8));

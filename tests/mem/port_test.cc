@@ -163,5 +163,45 @@ TEST(PacketTest, UniqueIds) {
     EXPECT_NE(a.id(), b.id());
 }
 
+TEST(PacketTest, SenderStateIsALastInFirstOutStack) {
+    Packet pkt{MemCmd::kReadReq, 0, 4};
+    EXPECT_EQ(pkt.senderStateDepth(), 0u);
+    for (std::uint64_t w = 0; w < Packet::kSenderStateCapacity; ++w) {
+        pkt.pushSenderState(~w);
+    }
+    EXPECT_EQ(pkt.senderStateDepth(), Packet::kSenderStateCapacity);
+    pkt.makeResponse();  // The stack rides through the conversion.
+    for (std::uint64_t w = Packet::kSenderStateCapacity; w-- > 0;) {
+        EXPECT_EQ(pkt.peekSenderState(), ~w);
+        EXPECT_EQ(pkt.popSenderState(), ~w);
+    }
+    EXPECT_EQ(pkt.senderStateDepth(), 0u);
+}
+
+TEST(PacketDeath, SenderStateOverflowPanics) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto overflow = [] {
+        Packet pkt{MemCmd::kReadReq, 0, 4};
+        for (unsigned i = 0; i <= Packet::kSenderStateCapacity; ++i) pkt.pushSenderState(i);
+    };
+    EXPECT_DEATH(overflow(), "sender-state stack overflow");
+}
+
+TEST(PacketDeath, SenderStatePopOnEmptyPanics) {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const auto popTwice = [] {
+        Packet pkt{MemCmd::kReadReq, 0, 4};
+        pkt.pushSenderState(1);
+        (void)pkt.popSenderState();
+        (void)pkt.popSenderState();
+    };
+    const auto peekEmpty = [] {
+        const Packet pkt{MemCmd::kReadReq, 0, 4};
+        (void)pkt.peekSenderState();
+    };
+    EXPECT_DEATH(popTwice(), "sender-state stack underflow");
+    EXPECT_DEATH(peekEmpty(), "sender-state stack underflow");
+}
+
 }  // namespace
 }  // namespace g5r

@@ -8,7 +8,11 @@
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "common/flaky_forwarder.hh"
 #include "common/test_requester.hh"
 #include "mem/cache/cache.hh"
 #include "mem/simple_mem.hh"
@@ -18,6 +22,7 @@
 namespace g5r {
 namespace {
 
+using testing::FlakyForwarder;
 using testing::TestRequester;
 
 /// A memory endpoint that randomly rejects incoming requests (issuing the
@@ -160,6 +165,87 @@ TEST_P(ProtocolFuzz, ThroughTheCrossbarWithTwoFlakyEndpoints) {
     for (const auto& r : reqB.responses()) {
         EXPECT_EQ(r.pkt->get<std::uint64_t>(), r.pkt->addr() * 31);
     }
+}
+
+TEST_P(ProtocolFuzz, ThreeNestedCrossbarsUnwindTheSenderStateStack) {
+    // top -> mid -> bottom crossbars, a flaky forwarder on each link between
+    // them and two requesters on every level: a top-level request carries
+    // three crossbars' sender state (six words; the core path needs five)
+    // and must unwind it exactly, whatever the rejections in between.
+    Simulation sim;
+    Xbar top{sim, "top", Xbar::Params{}};
+    Xbar mid{sim, "mid", Xbar::Params{}};
+    Xbar bottom{sim, "bottom", Xbar::Params{}};
+    FlakyForwarder topLink{sim, "topLink", {static_cast<std::uint32_t>(GetParam()), 3, 2'000}};
+    FlakyForwarder midLink{sim, "midLink", {static_cast<std::uint32_t>(GetParam() * 3), 4, 3'000}};
+    FlakyMemory lo{sim, "lo", GetParam()};
+    FlakyMemory hi{sim, "hi", GetParam() * 7 + 1};
+
+    std::vector<std::unique_ptr<TestRequester>> reqs;
+    for (Xbar* level : {&top, &mid, &bottom}) {
+        for (const char* side : {"a", "b"}) {
+            const std::string suffix = level->name() + side;
+            reqs.push_back(std::make_unique<TestRequester>(sim, suffix));
+            reqs.back()->port().bind(level->addCpuSidePort(suffix));
+        }
+    }
+    const AddrRange all{0, 2 << 20};
+    top.addMemSidePort("down", RouteSpec{all}).bind(topLink.cpuSidePort());
+    topLink.memSidePort().bind(mid.addCpuSidePort("up"));
+    mid.addMemSidePort("down", RouteSpec{all}).bind(midLink.cpuSidePort());
+    midLink.memSidePort().bind(bottom.addCpuSidePort("up"));
+    bottom.addMemSidePort("lo", RouteSpec{AddrRange{0, 1 << 20}}).bind(lo.port());
+    bottom.addMemSidePort("hi", RouteSpec{AddrRange{1 << 20, 2 << 20}}).bind(hi.port());
+
+    // Requester k owns the 8-byte words with (addr / 8) % 8 == k, so a
+    // response that reached the wrong sender shows. Reads hit the low 32 KiB
+    // of each range; writes go above it, so reads keep the address pattern.
+    Rng rng{GetParam() ^ 0x5151};
+    constexpr unsigned kPackets = 150;
+    for (unsigned k = 0; k < reqs.size(); ++k) {
+        for (unsigned i = 0; i < kPackets; ++i) {
+            const Addr base = rng.below(2) == 0 ? 0 : (1 << 20);
+            const Addr word = 8 * (k + 8 * rng.below(512));
+            PacketPtr pkt;
+            if (rng.below(4) == 0) {
+                pkt = makeWritePacket(base + 0x8000 + word, 8);
+                pkt->set<std::uint64_t>(word);
+            } else {
+                pkt = makeReadPacket(base + word, 8);
+            }
+            reqs[k]->issueAt(rng.below(100'000), std::move(pkt));
+        }
+    }
+    sim.run();
+
+    EXPECT_GT(topLink.reqRejections() + topLink.respRejections(), 0);
+    EXPECT_GT(midLink.reqRejections() + midLink.respRejections(), 0);
+    for (unsigned k = 0; k < reqs.size(); ++k) {
+        ASSERT_EQ(reqs[k]->numResponses(), kPackets) << reqs[k]->name();
+        for (const auto& r : reqs[k]->responses()) {
+            EXPECT_EQ(r.pkt->senderStateDepth(), 0u);
+            EXPECT_EQ((r.pkt->addr() / 8) % 8, k) << reqs[k]->name();
+            if (r.pkt->cmd() == MemCmd::kReadResp) {
+                EXPECT_EQ(r.pkt->get<std::uint64_t>(), r.pkt->addr() * 31);
+            } else {
+                EXPECT_EQ(r.pkt->cmd(), MemCmd::kWriteResp);
+            }
+        }
+    }
+    // Each crossbar sampled one round trip per request it routed, on the
+    // port the request came in by.
+    EXPECT_EQ(top.latency(0).count(), kPackets);
+    EXPECT_EQ(top.latency(1).count(), kPackets);
+    for (unsigned up = 0; up < 2; ++up) {
+        EXPECT_EQ(mid.latency(up).count(), kPackets);
+        EXPECT_EQ(bottom.latency(up).count(), kPackets);
+    }
+    EXPECT_EQ(mid.cpuSideSuffix(2), "up");
+    EXPECT_EQ(mid.latency(2).count(), 2 * kPackets);
+    EXPECT_EQ(bottom.latency(2).count(), 4 * kPackets);
+    EXPECT_EQ(top.statsGroup().find("reqsRouted")->value(), 2 * kPackets);
+    EXPECT_EQ(mid.statsGroup().find("reqsRouted")->value(), 4 * kPackets);
+    EXPECT_EQ(bottom.statsGroup().find("reqsRouted")->value(), 6 * kPackets);
 }
 
 TEST_P(ProtocolFuzz, CacheOverFlakyMemoryStaysCorrect) {

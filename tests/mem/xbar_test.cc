@@ -147,5 +147,30 @@ TEST(Xbar, HeavyBidirectionalStress) {
     EXPECT_TRUE(h.reqB->allResponsesReceived());
 }
 
+TEST(XbarDeath, ResponseWithEmptySenderStatePanics) {
+    // A responder that answers a request the crossbar never routed: the
+    // response carries no way home, and the crossbar must say so.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    class Rogue final : public ResponsePort {
+    public:
+        using ResponsePort::ResponsePort;
+        bool recvTimingReq(PacketPtr&) override { return false; }
+        void recvFunctional(Packet&) override {}
+        void recvRespRetry() override {}
+    };
+    const auto strayResponse = [] {
+        Simulation sim;
+        Xbar xbar{sim, "xbar", Xbar::Params{}};
+        TestRequester req{sim, "req"};
+        Rogue rogue{"rogue"};
+        req.port().bind(xbar.addCpuSidePort("req"));
+        xbar.addMemSidePort("mem", RouteSpec{AddrRange{0, 1 << 20}}).bind(rogue);
+        PacketPtr pkt = makeReadPacket(0x40, 8);
+        pkt->makeResponse();
+        (void)rogue.sendTimingResp(pkt);
+    };
+    EXPECT_DEATH(strayResponse(), "sender-state stack underflow");
+}
+
 }  // namespace
 }  // namespace g5r

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -221,6 +222,52 @@ TEST(Metrics, OptionsComeFromEnvironment) {
     ::unsetenv("GEM5RTL_METRICS_INTERVAL");
     o = ObsOptions::fromEnv();
     EXPECT_FALSE(o.metricsEnabled);
+
+    // The four 0|1|<dir> switches read alike.
+    ::setenv("GEM5RTL_TRACE", "/tmp/t", 1);
+    ::setenv("GEM5RTL_RECORD", "1", 1);
+    ::setenv("GEM5RTL_REQTRACE", "", 1);
+    o = ObsOptions::fromEnv();
+    EXPECT_TRUE(o.traceEnabled);
+    EXPECT_EQ(o.traceDir, "/tmp/t");
+    EXPECT_TRUE(o.recordEnabled);
+    EXPECT_EQ(o.recordDir, ".");
+    EXPECT_FALSE(o.reqtraceEnabled);
+    ::unsetenv("GEM5RTL_TRACE");
+    ::unsetenv("GEM5RTL_RECORD");
+    ::unsetenv("GEM5RTL_REQTRACE");
+
+    // Every count is read whole and must be at least 1.
+    ::setenv("GEM5RTL_PROFILE_STRIDE", "7", 1);
+    ::setenv("GEM5RTL_TRACE_INTERVAL", "300", 1);
+    ::setenv("GEM5RTL_RECORD_INTERVAL", "400", 1);
+    o = ObsOptions::fromEnv();
+    EXPECT_EQ(o.profileStride, 7u);
+    EXPECT_EQ(o.counterIntervalTicks, 300u);
+    EXPECT_EQ(o.recordIntervalTicks, 400u);
+    ::unsetenv("GEM5RTL_PROFILE_STRIDE");
+    ::unsetenv("GEM5RTL_TRACE_INTERVAL");
+    ::unsetenv("GEM5RTL_RECORD_INTERVAL");
+
+    for (const char* var : {"GEM5RTL_PROFILE_STRIDE", "GEM5RTL_TRACE_INTERVAL",
+                            "GEM5RTL_RECORD_INTERVAL", "GEM5RTL_METRICS_INTERVAL"}) {
+        for (const char* bad : {"10x", "abc", "-5", "0", "", " 5", "99999999999999999999"}) {
+            ::setenv(var, bad, 1);
+            try {
+                (void)ObsOptions::fromEnv();
+                ADD_FAILURE() << var << "='" << bad << "' was accepted";
+            } catch (const std::invalid_argument& e) {
+                const std::string what = e.what();
+                EXPECT_NE(what.find(var), std::string::npos) << what;
+                EXPECT_NE(what.find(std::string{"'"} + bad + "'"), std::string::npos) << what;
+            }
+        }
+        ::unsetenv(var);
+    }
+    // The stride is an unsigned: a count past its range is malformed too.
+    ::setenv("GEM5RTL_PROFILE_STRIDE", "4294967296", 1);
+    EXPECT_THROW((void)ObsOptions::fromEnv(), std::invalid_argument);
+    ::unsetenv("GEM5RTL_PROFILE_STRIDE");
 }
 
 }  // namespace
